@@ -23,7 +23,6 @@ from .search import (
     SearchStats,
     filtered_search,
     iter_filtered_search,
-    parallel_filtered_search,
     scan_all_search,
     search_stats,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "naive_search",
     "normalize_params",
     "oracle_match",
-    "parallel_filtered_search",
     "permutation_probability",
     "read_fasta",
     "rolling_deltas",

@@ -3,7 +3,8 @@
 Subcommands: search (match listing as TSV), density (candidate-density
 experiment as CSV), bench (timing experiment as CSV), gen (random text
 files).  Exit codes: 0 success, 1 I/O error, 2 usage error.  The MDMATCH_SEED
-environment variable supplies a default seed; explicit flags win.
+environment variable supplies a default seed; explicit flags win, and a
+malformed value is a usage error.
 """
 
 from __future__ import annotations
@@ -15,22 +16,20 @@ import time
 from collections import Counter
 
 from .core import SearchParams, normalize_params
-from .counting import scan_candidates
 from .ingest import extract_patterns, gen_random_text, read_fasta
 from .oracle import permutation_probability
-from .search import Matcher, parallel_filtered_search
-from .verify import verify_with_witness
+from .search import Matcher
 
 USAGE_ERROR = 2
 IO_ERROR = 1
 
 
-def _env_seed() -> int:
+def _env_seed(parser) -> int:
     value = os.environ.get("MDMATCH_SEED", "")
     try:
         return int(value) if value else 0
     except ValueError:
-        return 0
+        parser.error(f"MDMATCH_SEED must be an integer, got {value!r}")
 
 
 def _params_for(m: int, alpha: int | None, beta: int | None) -> SearchParams:
@@ -88,16 +87,10 @@ def cmd_search(args, parser) -> int:
             if len(pattern) > len(rec.data):
                 continue
             params = _params_for(len(pattern), args.alpha, args.beta)
-            if args.threads > 1:
-                occs = parallel_filtered_search(pattern, rec.data, params,
-                                                threads=args.threads)
-            else:
-                occs = matcher.find(pattern, params)
-            for occ in occs:
+            for occ in matcher.find(pattern, params, with_witness=args.witness):
                 fields = [str(pid), rec.id, str(occ.position)]
                 if args.witness:
-                    blocks = verify_with_witness(pattern, rec.data, occ.position, params)
-                    fields.append(" ".join(b.token() for b in blocks))
+                    fields.append(" ".join(b.token() for b in occ.witness))
                 lines.append((pid, rec.id, occ.position, "\t".join(fields)))
     lines.sort(key=lambda item: item[:3])
     for line in lines:
@@ -127,34 +120,37 @@ def cmd_density(args, parser) -> int:
     return 0
 
 
+def _mean_ms(fn, patterns, params, runs: int):
+    """Mean wall time of fn(pattern, params) in ms, and the last run's results."""
+    elapsed = 0.0
+    for _ in range(runs):
+        results = []
+        for pattern in patterns:
+            t0 = time.perf_counter()
+            results.append(fn(pattern, params))
+            elapsed += time.perf_counter() - t0
+    return 1000.0 * elapsed / (runs * len(patterns)), results
+
+
 def cmd_bench(args, parser) -> int:
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
     text, _sigma = _experiment_text(args, parser)
-    lengths = args.lengths
     matcher = Matcher(text)
     print("m,algorithm,mean_ms,candidates_per_position")
-    for m in lengths:
+    for m in args.lengths:
         if m > len(text):
             parser.error("pattern length exceeds text length")
         params = _params_for(m, args.alpha, args.beta)
         patterns = extract_patterns(text, m, args.count, args.seed)
-        positions = len(text) - m + 1
-        density = 0.0
-        for pattern in patterns:
-            p_arr = matcher._encode_pattern(pattern)
-            density += len(scan_candidates(p_arr, matcher._t_arr, matcher.alphabet.size))
-        density /= len(patterns) * positions
-        algos = [("filtered", matcher.find)]
+        # Matcher.stats does find's filter and verify work and also counts
+        # the candidates, so one timed pass gives both columns.
+        mean_ms, stats = _mean_ms(matcher.stats, patterns, params, args.runs)
+        density = sum(st.candidates for st in stats) / (len(patterns) * (len(text) - m + 1))
+        print(f"{m},filtered,{mean_ms:.3f},{density:.8g}")
         if args.baseline:
-            algos.append(("scan_all", matcher.scan_all))
-        for name, fn in algos:
-            elapsed = 0.0
-            for _ in range(args.runs):
-                for pattern in patterns:
-                    t0 = time.perf_counter()
-                    fn(pattern, params)
-                    elapsed += time.perf_counter() - t0
-            mean_ms = 1000.0 * elapsed / (args.runs * len(patterns))
-            print(f"{m},{name},{mean_ms:.3f},{density:.8g}")
+            mean_ms, _ = _mean_ms(matcher.scan_all, patterns, params, args.runs)
+            print(f"{m},scan_all,{mean_ms:.3f},{density:.8g}")
     return 0
 
 
@@ -210,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="append the block decomposition of each match")
     p_search.add_argument("--raw", action="store_true",
                           help="treat the text file as verbatim bytes, not FASTA")
-    p_search.add_argument("--threads", type=int, default=1,
-                          help="chunked parallel scan with this many workers")
     p_search.add_argument("text_file", metavar="TEXT", help="text file to search")
     p_search.set_defaults(func=cmd_search)
 
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--count", type=int, default=200,
                            help="number of extracted patterns (default 200)")
     _add_params(p_density)
-    p_density.add_argument("--seed", type=int, default=_env_seed(),
+    p_density.add_argument("--seed", type=int, default=None,
                            help="pattern-extraction seed (default MDMATCH_SEED or 0)")
     p_density.set_defaults(func=cmd_density)
 
@@ -236,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_bench)
     p_bench.add_argument("--baseline", action="store_true",
                          help="also time the verify-everywhere baseline")
-    p_bench.add_argument("--seed", type=int, default=_env_seed(),
+    p_bench.add_argument("--seed", type=int, default=None,
                          help="pattern-extraction seed (default MDMATCH_SEED or 0)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = subs.add_parser("gen", help="write a seeded uniform random text file")
     p_gen.add_argument("-n", type=int, required=True, help="text length in symbols")
     p_gen.add_argument("--sigma", type=int, required=True, help="alphabet size (2..64)")
-    p_gen.add_argument("--seed", type=int, default=_env_seed(),
+    p_gen.add_argument("--seed", type=int, default=None,
                        help="generator seed (default MDMATCH_SEED or 0)")
     p_gen.add_argument("-o", "--out", required=True, help="output path")
     p_gen.set_defaults(func=cmd_gen)
@@ -253,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "seed" in args and args.seed is None:
+        args.seed = _env_seed(parser)
     try:
         return args.func(args, parser)
     except OSError as exc:

@@ -1,10 +1,9 @@
 """Filter-and-verify search: candidate positions from the counting filter,
 confirmed by the banded verifier.  Includes a verify-everywhere baseline for
-benchmarking and a chunked parallel mode."""
+benchmarking."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,7 +18,7 @@ from .core import (
     normalize_params,
 )
 from .counting import scan_candidates
-from .verify import VerifierWorkspace, _verify_rows_np, _verify_rows_py, verify_with_witness
+from .verify import _verify_windows
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,6 @@ class Matcher:
         p_arr = self._encode_pattern(pattern)
         return m, params, p_arr
 
-    def _verify_at(self, p_arr, p_list, s: int, m: int, params: SearchParams,
-                   ws: VerifierWorkspace) -> bool:
-        if ws.use_numpy:
-            return _verify_rows_np(p_list, p_arr, self._t_arr, s, m,
-                                   params.alpha, params.beta, ws)
-        w_list = self._t_arr[s:s + m].tolist()
-        return _verify_rows_py(p_list, w_list, m, params.alpha, params.beta, ws)
-
     def iter_find(self, pattern: str, params: SearchParams | None = None,
                   with_witness: bool = False) -> Iterator[Occurrence]:
         """Yield occurrences in increasing position order (streaming)."""
@@ -79,12 +70,9 @@ class Matcher:
         if m > len(self.text):
             return
         cands = scan_candidates(p_arr, self._t_arr, self.alphabet.size)
-        ws = VerifierWorkspace(params.alpha, params.beta)
-        p_list = p_arr.tolist()
-        for s in cands.tolist():
-            if self._verify_at(p_arr, p_list, s, m, params, ws):
-                witness = verify_with_witness(pattern, self.text, s, params) if with_witness else None
-                yield Occurrence(s, witness)
+        for s, witness in _verify_windows(p_arr, self._t_arr, cands.tolist(), params,
+                                          witness=with_witness):
+            yield Occurrence(s, witness)
 
     def find(self, pattern: str, params: SearchParams | None = None,
              with_witness: bool = False) -> list[Occurrence]:
@@ -96,10 +84,8 @@ class Matcher:
         n = len(self.text)
         if m > n:
             return []
-        ws = VerifierWorkspace(params.alpha, params.beta)
-        p_list = p_arr.tolist()
-        return [Occurrence(s) for s in range(n - m + 1)
-                if self._verify_at(p_arr, p_list, s, m, params, ws)]
+        return [Occurrence(s) for s, _ in
+                _verify_windows(p_arr, self._t_arr, range(n - m + 1), params)]
 
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
         """Candidate and match counts for one scan of the text."""
@@ -108,10 +94,7 @@ class Matcher:
         if m > n:
             return SearchStats(0, 0, 0)
         cands = scan_candidates(p_arr, self._t_arr, self.alphabet.size)
-        ws = VerifierWorkspace(params.alpha, params.beta)
-        p_list = p_arr.tolist()
-        matches = sum(1 for s in cands.tolist()
-                      if self._verify_at(p_arr, p_list, s, m, params, ws))
+        matches = sum(1 for _ in _verify_windows(p_arr, self._t_arr, cands.tolist(), params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)
 
@@ -138,48 +121,3 @@ def scan_all_search(pattern: str, text: str,
 def search_stats(pattern: str, text: str,
                  params: SearchParams | None = None) -> SearchStats:
     return Matcher(text).stats(pattern, params)
-
-
-def parallel_filtered_search(pattern: str, text: str,
-                             params: SearchParams | None = None,
-                             threads: int = 2) -> list[Occurrence]:
-    """Chunked parallel variant of filtered_search with identical output.
-
-    The start-position range is partitioned; each chunk scans its slice of
-    the text (extended by m-1 symbols so windows never cross a seam) with an
-    independent filter state and verifier workspace.
-    """
-    m, n = len(pattern), len(text)
-    if m == 0:
-        raise ValueError("empty pattern")
-    if m > n:
-        return []
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    params = normalize_params(params or maximal_params(m), m)
-    matcher = Matcher(text)
-    p_arr = matcher._encode_pattern(pattern)
-    p_list = p_arr.tolist()
-    t_arr = matcher._t_arr
-    sigma = matcher.alphabet.size
-    total = n - m + 1
-    bounds = np.linspace(0, total, threads + 1, dtype=np.int64)
-
-    def run_chunk(lo: int, hi: int) -> list[int]:
-        if lo >= hi:
-            return []
-        ws = VerifierWorkspace(params.alpha, params.beta)
-        chunk = t_arr[lo:hi - 1 + m]
-        cands = scan_candidates(p_arr, chunk, sigma)
-        out = []
-        for rel in cands.tolist():
-            s = lo + rel
-            if matcher._verify_at(p_arr, p_list, s, m, params, ws):
-                out.append(s)
-        return out
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: run_chunk(*ab),
-                              zip(bounds[:-1].tolist(), bounds[1:].tolist())))
-    positions = sorted(set(s for part in parts for s in part))
-    return [Occurrence(s) for s in positions]

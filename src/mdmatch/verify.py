@@ -24,12 +24,13 @@ Because F chains advance along one diagonal and I chains along one
 anti-diagonal, each row needs only the previous row of each band plus the
 last max(2*alpha, beta) values of S, so the working space is independent
 of m.  Two interchangeable row engines exist: plain Python loops (fast for
-narrow bands) and a vectorized one (fast for wide bands).
+narrow bands) and a vectorized one (fast for wide bands).  Every caller,
+Matcher included, reaches them through _verify_windows, which picks one.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,52 +266,14 @@ def _encode_pair(pattern, text):
     return alphabet.encode_sequence(pattern), alphabet.encode_sequence(text)
 
 
-def verify(pattern: Sequence, text: Sequence, s: int,
-           params: SearchParams | None = None,
-           workspace: VerifierWorkspace | None = None) -> bool:
-    """True iff the pattern matches t[s..s+m-1] under the given bounds.
-
-    Accepts symbol strings or pre-encoded code arrays.  A workspace built
-    for the same normalized (alpha, beta) may be supplied for reuse.
-    """
-    m, n = len(pattern), len(text)
-    if m == 0:
-        raise ValueError("empty pattern")
-    if not 0 <= s <= n - m:
-        raise ValueError("position out of bounds")
-    params = normalize_params(params or maximal_params(m), m)
-    ws = workspace if workspace is not None else VerifierWorkspace(params.alpha, params.beta)
-    if (ws.alpha, ws.beta) != (params.alpha, params.beta):
-        raise ValueError("workspace built for different parameters")
-    if not ws.use_numpy:
-        return _verify_rows_py(pattern, text[s:s + m], m, params.alpha, params.beta, ws)
-    if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
-        p_arr, t_arr = pattern, text
-    else:
-        p_arr, t_arr = _encode_pair(pattern, text)
-    return _verify_rows_np(p_arr.tolist(), p_arr, t_arr, s, m, params.alpha, params.beta, ws)
-
-
-def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
-                        params: SearchParams | None = None) -> tuple[Block, ...] | None:
-    """Like verify, but on success return the block decomposition.
+def _blocks(record: list) -> tuple[Block, ...]:
+    """The block decomposition of a matched window from its back-pointers.
 
     Ties are broken toward identity, then the shortest translocation, then
-    the shortest inversion, so output is deterministic.  This diagnostic
-    path records one choice per pattern index.
+    the shortest inversion (the order in which the row engine tests them).
     """
-    m, n = len(pattern), len(text)
-    if m == 0:
-        raise ValueError("empty pattern")
-    if not 0 <= s <= n - m:
-        raise ValueError("position out of bounds")
-    params = normalize_params(params or maximal_params(m), m)
-    ws = VerifierWorkspace(params.alpha, params.beta, use_numpy=False)
-    record: list = []
-    if not _verify_rows_py(pattern, text[s:s + m], m, params.alpha, params.beta, ws, record):
-        return None
     blocks = []
-    i = m - 1
+    i = len(record) - 1
     while i >= 0:
         cond, k = record[i]
         if cond == 0:
@@ -324,3 +287,77 @@ def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
             i -= k
     blocks.reverse()
     return tuple(blocks)
+
+
+def _verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
+                    params: SearchParams, workspace: VerifierWorkspace | None = None,
+                    witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
+    """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
+
+    The one place that picks a row engine and slices windows for it.  Both
+    engines take code arrays; the Python one also takes symbol strings.  A
+    witness needs back-pointers, which only the Python engine records, so
+    witness=True runs it and builds the blocks from the same pass; blocks is
+    None otherwise.  params must be normalized for len(pattern); a supplied
+    workspace decides the engine, so it must not be a vectorized one when a
+    witness is asked for.
+    """
+    m = len(pattern)
+    alpha, beta = params.alpha, params.beta
+    ws = workspace
+    if ws is None:
+        ws = VerifierWorkspace(alpha, beta, use_numpy=False if witness else None)
+    if ws.use_numpy:
+        if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
+            p_arr, t_arr = pattern, text
+        else:
+            p_arr, t_arr = _encode_pair(pattern, text)
+        p_list = p_arr.tolist()
+        for s in starts:
+            if _verify_rows_np(p_list, p_arr, t_arr, s, m, alpha, beta, ws):
+                yield s, None
+        return
+    p_list = pattern.tolist() if isinstance(pattern, np.ndarray) else pattern
+    t_is_arr = isinstance(text, np.ndarray)
+    for s in starts:
+        w = text[s:s + m]
+        record = [] if witness else None
+        if _verify_rows_py(p_list, w.tolist() if t_is_arr else w, m, alpha, beta, ws, record):
+            yield s, _blocks(record) if witness else None
+
+
+def _check_call(pattern: Sequence, text: Sequence, s: int,
+                params: SearchParams | None) -> SearchParams:
+    m, n = len(pattern), len(text)
+    if m == 0:
+        raise ValueError("empty pattern")
+    if not 0 <= s <= n - m:
+        raise ValueError("position out of bounds")
+    return normalize_params(params or maximal_params(m), m)
+
+
+def verify(pattern: Sequence, text: Sequence, s: int,
+           params: SearchParams | None = None,
+           workspace: VerifierWorkspace | None = None) -> bool:
+    """True iff the pattern matches t[s..s+m-1] under the given bounds.
+
+    Accepts symbol strings or pre-encoded code arrays.  A workspace built
+    for the same normalized (alpha, beta) may be supplied for reuse.
+    """
+    params = _check_call(pattern, text, s, params)
+    if workspace is not None and (workspace.alpha, workspace.beta) != (params.alpha, params.beta):
+        raise ValueError("workspace built for different parameters")
+    return next(_verify_windows(pattern, text, (s,), params, workspace), None) is not None
+
+
+def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
+                        params: SearchParams | None = None) -> tuple[Block, ...] | None:
+    """Like verify, but on success return the block decomposition.
+
+    Ties are broken toward identity, then the shortest translocation, then
+    the shortest inversion, so output is deterministic.
+    """
+    params = _check_call(pattern, text, s, params)
+    for _, blocks in _verify_windows(pattern, text, (s,), params, witness=True):
+        return blocks
+    return None

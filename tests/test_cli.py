@@ -1,10 +1,13 @@
+import random
 import subprocess
 import sys
 
 import pytest
 
+from conftest import random_block_decomposition
 from mdmatch.cli import main
 from mdmatch.core import apply_blocks, Block, IDENTITY, INVERSION, TRANSLOCATION
+from mdmatch.ingest import gen_random_text
 
 
 def run_cli(capsys, *argv):
@@ -63,13 +66,41 @@ class TestSearch:
         keys = [(int(r[0]), r[1], int(r[2])) for r in rows]
         assert keys == sorted(keys)
 
-    def test_threads_identical_output(self, tmp_path, capsys):
+    def test_witness_adds_a_column_to_the_same_rows(self, tmp_path, capsys):
+        rng = random.Random(77)
+        text = gen_random_text(3000, 4, 5)
+        patterns = []
+        for m in (8, 100):
+            s = rng.randrange(len(text) - m)
+            patterns.append(text[s:s + m])
+            blocks = random_block_decomposition(rng, m, m // 2, m)
+            patterns.append(apply_blocks(text[s:s + m], blocks))
+        path, pats = tmp_path / "t.txt", tmp_path / "p.txt"
+        path.write_text(text)
+        pats.write_text("\n".join(patterns) + "\n")
+        code, plain, _ = run_cli(capsys, "search", "--pattern-file", str(pats), str(path))
+        assert code == 0
+        code, witnessed, _ = run_cli(capsys, "search", "--witness", "--pattern-file",
+                                     str(pats), str(path))
+        assert code == 0
+        rows = [line.split("\t") for line in witnessed.splitlines()]
+        assert ["\t".join(r[:3]) + "\n" for r in rows] == plain.splitlines(keepends=True)
+        assert {r[0] for r in rows} == {"0", "1", "2", "3"}
+        kinds = {"I": IDENTITY, "T": TRANSLOCATION, "V": INVERSION}
+        for pid, _rid, pos, witness in rows:
+            p, s = patterns[int(pid)], int(pos)
+            blocks = []
+            for token in witness.split(" "):
+                head, _, klen = token.partition(":")
+                blocks.append(Block(kinds[head[0]], int(head[2:]), int(klen) if klen else 1))
+            assert apply_blocks(p, blocks) == text[s:s + len(p)]
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
         text = tmp_path / "t.txt"
-        text.write_text("abbaabbaabba" * 20)
-        args = ["search", "-p", "ab", "--alpha", "1", str(text)]
-        _, single, _ = run_cli(capsys, *args)
-        code, multi, _ = run_cli(capsys, *args, "--threads", "4")
-        assert code == 0 and multi == single
+        text.write_text("abba")
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "-p", "ab", "--threads", "2", str(text)])
+        assert exc.value.code == 2
 
     def test_case_folded_against_fasta(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
@@ -132,6 +163,13 @@ class TestBench:
         for r in rows:
             assert float(r[2]) >= 0.0
 
+    def test_zero_runs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--random", "100", "4", "0", "-m", "4", "--runs", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--runs must be >= 1" in err and "Traceback" not in err
+
     def test_bad_length_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--random", "100", "4", "0", "-m", "4,x"])
@@ -177,6 +215,16 @@ class TestEnvSeed:
         _, explicit, _ = run_cli(capsys, *args, "--seed", "123")
         assert with_env == explicit
         assert with_env != other_env
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MDMATCH_SEED", "abc")
+        out = str(tmp_path / "g.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "-n", "10", "--sigma", "4", "-o", out])
+        assert exc.value.code == 2
+        assert "MDMATCH_SEED" in capsys.readouterr().err
+        # An explicit flag wins over the environment, malformed or not.
+        assert main(["gen", "-n", "10", "--sigma", "4", "--seed", "3", "-o", out]) == 0
 
 
 def test_module_entry_point():

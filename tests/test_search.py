@@ -1,18 +1,19 @@
+import importlib
 import random
 
 import pytest
 
 from conftest import rand_string, random_block_decomposition
-from mdmatch.core import SearchParams, apply_blocks
+from mdmatch.core import SearchParams, apply_blocks, maximal_params
 from mdmatch.oracle import naive_search
 from mdmatch.search import (
     Matcher,
     filtered_search,
     iter_filtered_search,
-    parallel_filtered_search,
     scan_all_search,
     search_stats,
 )
+from mdmatch.verify import VerifierWorkspace, verify_with_witness
 
 
 def positions(occs):
@@ -65,19 +66,6 @@ class TestEquivalence:
             expected = positions(naive_search(p, t, params))
             assert positions(filtered_search(p, t, params)) == expected
             assert positions(scan_all_search(p, t, params)) == expected
-
-    def test_parallel_identical(self):
-        rng = random.Random(321)
-        for _ in range(60):
-            sigma = rng.choice([2, 4])
-            m = rng.randint(1, 6)
-            n = rng.randint(m, 300)
-            t = rand_string(rng, sigma, n)
-            p = rand_string(rng, sigma, m)
-            params = SearchParams(m // 2, m)
-            expected = positions(filtered_search(p, t, params))
-            for threads in (1, 2, 3, 7):
-                assert positions(parallel_filtered_search(p, t, params, threads=threads)) == expected
 
 
 class TestStats:
@@ -141,3 +129,62 @@ class TestMatcher:
             text = pad + w + rand_string(rng, sigma, rng.randint(0, 30))
             found = positions(filtered_search(p, text, SearchParams(alpha, beta)))
             assert len(pad) in found
+
+
+class TestWitnessPass:
+    @staticmethod
+    def planted_text(rng, sigma, m, alpha, beta):
+        p = rand_string(rng, sigma, m)
+        parts = []
+        for _ in range(3):
+            parts.append(rand_string(rng, sigma, rng.randint(0, 2 * m)))
+            parts.append(apply_blocks(p, random_block_decomposition(rng, m, alpha, beta)))
+        return p, "".join(parts)
+
+    def check(self, p, text, params):
+        matcher = Matcher(text)
+        plain = matcher.find(p, params)
+        witnessed = matcher.find(p, params, with_witness=True)
+        assert positions(witnessed) == positions(plain)
+        assert len(plain) >= 3
+        for occ in witnessed:
+            window = text[occ.position:occ.position + len(p)]
+            assert occ.witness == verify_with_witness(p, text, occ.position, params)
+            assert apply_blocks(p, occ.witness) == window
+
+    def test_narrow_bands(self):
+        rng = random.Random(1201)
+        for _ in range(60):
+            m = rng.randint(2, 16)
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            p, text = self.planted_text(rng, rng.choice([2, 4]), m, params.alpha, params.beta)
+            self.check(p, text, params)
+
+    def test_wide_bands(self):
+        # Maximal params at m >= 96: find without a witness runs the
+        # vectorized engine, with a witness the recording Python engine.
+        rng = random.Random(1202)
+        for m in (96, 111, 128):
+            params = maximal_params(m)
+            assert VerifierWorkspace(params.alpha, params.beta).use_numpy
+            p, text = self.planted_text(rng, 4, m, params.alpha, params.beta)
+            self.check(p, text, params)
+
+    def test_one_engine_run_per_candidate(self, monkeypatch):
+        # The package's verify function shadows its verify module as an attribute.
+        verify_module = importlib.import_module("mdmatch.verify")
+        runs = []
+        for name in ("_verify_rows_py", "_verify_rows_np"):
+            engine = getattr(verify_module, name)
+            monkeypatch.setattr(verify_module, name,
+                                lambda *a, engine=engine, **kw: runs.append(1) or engine(*a, **kw))
+        rng = random.Random(1203)
+        for m in (6, 100):
+            params = maximal_params(m)
+            p, text = self.planted_text(rng, 2, m, params.alpha, params.beta)
+            matcher = Matcher(text)
+            candidates = matcher.stats(p, params).candidates
+            runs.clear()
+            occs = matcher.find(p, params, with_witness=True)
+            assert len(runs) == candidates
+            assert all(occ.witness is not None for occ in occs)
