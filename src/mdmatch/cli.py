@@ -98,10 +98,17 @@ def cmd_search(args, parser) -> int:
     return 0
 
 
+def _check_lengths(parser, count: int, lengths: list[int], text: str) -> None:
+    # Checked before any output, so a failed run prints no partial CSV.
+    if count < 1:
+        parser.error("--count must be >= 1")
+    if max(lengths) > len(text):
+        parser.error("pattern length exceeds text length")
+
+
 def cmd_density(args, parser) -> int:
     text, sigma = _experiment_text(args, parser)
-    if args.length > len(text):
-        parser.error("pattern length exceeds text length")
+    _check_lengths(parser, args.count, [args.length], text)
     params = _params_for(args.length, args.alpha, args.beta)
     patterns = extract_patterns(text, args.length, args.count, args.seed)
     matcher = Matcher(text)
@@ -136,11 +143,10 @@ def cmd_bench(args, parser) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     text, _sigma = _experiment_text(args, parser)
+    _check_lengths(parser, args.count, args.lengths, text)
     matcher = Matcher(text)
     print("m,algorithm,mean_ms,candidates_per_position")
     for m in args.lengths:
-        if m > len(text):
-            parser.error("pattern length exceeds text length")
         params = _params_for(m, args.alpha, args.beta)
         patterns = extract_patterns(text, m, args.count, args.seed)
         # Matcher.stats does find's filter and verify work and also counts

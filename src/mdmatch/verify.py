@@ -23,13 +23,21 @@ S[i] is set when one of three conditions holds:
 Because F chains advance along one diagonal and I chains along one
 anti-diagonal, each row needs only the previous row of each band plus the
 last max(2*alpha, beta) values of S, so the working space is independent
-of m.  Two interchangeable row engines exist: plain Python loops (fast for
-narrow bands) and a vectorized one (fast for wide bands).  Every caller,
-Matcher included, reaches them through _verify_windows, which picks one.
+of m.
+
+One engine runs this DP on a chunk of up to CHUNK candidate windows at a
+time.  Its band arrays are shaped (band, windows), so each step of a row is
+one numpy call for the whole chunk.  A window with no S bit among the last
+max(2*alpha, beta) rows can never match and is dropped from the chunk.  The
+translocation and inversion tests are skipped on rows where every live
+window extends by identity.  Back-pointers are recorded only when a witness
+is asked for.  Every caller, Matcher included, reaches the engine through
+_verify_windows.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,251 +48,180 @@ from .core import (
     INVERSION,
     TRANSLOCATION,
     SearchParams,
-    build_alphabet,
     maximal_params,
     normalize_params,
 )
 
-# Band half-width at which the vectorized row engine overtakes the Python one.
-NUMPY_BAND_MIN = 48
+# Candidate windows advanced together, one numpy call per band and row.
+CHUNK = 128
 
 
 class VerifierWorkspace:
-    """Reusable scratch buffers for one verification at a time.
+    """The verifier's band buffers for one chunk of up to CHUNK windows.
 
-    Sized by (alpha, beta) only; reusing one workspace across candidate
-    positions avoids reallocation on candidate-dense texts.
+    Sized by (alpha, beta) and CHUNK, never by the pattern length; one
+    workspace serves every chunk of a search.  Each buffer is flat and
+    band-major: with n live windows its first rows * n entries form a
+    C-contiguous (rows, n) array, so a band is one 1-D slice.
     """
 
-    def __init__(self, alpha: int, beta: int, use_numpy: bool | None = None):
+    def __init__(self, alpha: int, beta: int):
         if alpha < 0 or beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         self.alpha = alpha
         self.beta = beta
         self.horizon = max(2 * alpha, beta, 1)
-        self.ring = self.horizon + 1
-        self.ilen = 2 * beta - 1 if beta >= 2 else 0
-        if use_numpy is None:
-            use_numpy = max(alpha, beta) >= NUMPY_BAND_MIN
-        self.use_numpy = use_numpy
-        self.sring = [0] * self.ring
-        fw = alpha + 1
-        if use_numpy:
-            self.rowF = np.zeros(fw, dtype=np.int32)
-            self.rowFp = np.zeros(fw, dtype=np.int32)
-            self.colF = np.zeros(fw, dtype=np.int32)
-            self.colFp = np.zeros(fw, dtype=np.int32)
-            self.rowI = np.zeros(self.ilen, dtype=np.int32)
-            self.rowIp = np.zeros(self.ilen, dtype=np.int32)
-            self.fmatch = np.zeros(fw, dtype=bool)
-            self.cmatch = np.zeros(fw, dtype=bool)
-            self.imatch = np.zeros(self.ilen, dtype=bool)
-            self.tmpF = np.zeros(fw, dtype=np.int32)
-            self.tmpC = np.zeros(fw, dtype=np.int32)
-            self.tmpI = np.zeros(self.ilen, dtype=np.int32)
-            self.bhits = np.zeros(alpha, dtype=bool)
-            self.bhits2 = np.zeros(alpha, dtype=bool)
-            self.chits = np.zeros(max(beta - 1, 0), dtype=bool)
-            self.kb = np.arange(1, alpha + 1, dtype=np.int32)
-            self.kc = np.arange(2, beta + 1, dtype=np.int32)
-        else:
-            self.rowF = [0] * fw
-            self.rowFp = [0] * fw
-            self.colF = [0] * fw
-            self.colFp = [0] * fw
-            self.rowI = [0] * self.ilen
-            self.rowIp = [0] * self.ilen
+        self.bcap = max(beta - 1, 0)
+        # Band rows: I[i, i + bcap - u] for u = 0..2*bcap, then F[i, i-k] and
+        # F[i-k, i] for k = 1..alpha.  Test rows: the I rows of inversion
+        # lengths 2..beta, then both F bands.
+        bands = 2 * self.bcap + 1 + 2 * alpha
+        tests = self.bcap + 2 * alpha
+        # S rows: the last horizon rows plus room to write before shifting.
+        self.srows = 2 * self.horizon + 32
+        self.eq = np.empty(bands * CHUNK, dtype=bool)
+        self.run = np.empty(bands * CHUNK, dtype=np.int32)
+        self.grown = np.empty(bands * CHUNK, dtype=np.int32)
+        self.S = np.empty(self.srows * CHUNK, dtype=bool)
+        self.hit = np.empty(tests * CHUNK, dtype=bool)
+        self.need = np.empty(tests * CHUNK, dtype=np.int32)
+        k_alpha = np.arange(1, alpha + 1, dtype=np.int32)
+        self.k = np.concatenate((np.arange(2, beta + 1, dtype=np.int32), k_alpha, k_alpha))
 
     def cells(self) -> int:
         """Total buffer entries owned by this workspace (space-bound checks)."""
-        total = len(self.sring)
-        names = ["rowF", "rowFp", "colF", "colFp", "rowI", "rowIp"]
-        if self.use_numpy:
-            names += ["fmatch", "cmatch", "imatch", "tmpF", "tmpC", "tmpI",
-                      "bhits", "bhits2", "chits", "kb", "kc"]
-        for name in names:
-            total += len(getattr(self, name))
-        return total
-
-    def _reset(self) -> None:
-        if self.use_numpy:
-            for name in ("rowF", "rowFp", "colF", "colFp", "rowI", "rowIp"):
-                getattr(self, name).fill(0)
-        else:
-            zf = [0] * (self.alpha + 1)
-            zi = [0] * self.ilen
-            self.rowF[:] = zf
-            self.rowFp[:] = zf
-            self.colF[:] = zf
-            self.colFp[:] = zf
-            self.rowI[:] = zi
-            self.rowIp[:] = zi
-        self.sring[:] = [0] * self.ring
+        return sum(buf.size for buf in vars(self).values() if isinstance(buf, np.ndarray))
 
 
-def _verify_rows_py(p: Sequence, w: Sequence, m: int, alpha: int, beta: int,
-                    ws: VerifierWorkspace, record: list | None = None) -> bool:
-    ws._reset()
-    rowF, rowFp = ws.rowF, ws.rowFp
-    colF, colFp = ws.colF, ws.colFp
-    rowI, rowIp = ws.rowI, ws.rowIp
-    S = ws.sring
-    ring = ws.ring
-    horizon = ws.horizon
-    bcap = beta - 1
-    ilen = ws.ilen
-    last_true = -1
+def _why(ident: np.ndarray, inv: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Back-pointer codes of one row: 0 for identity, k > 0 for the shortest
+    translocation of halves k, -k for the shortest inversion of length k."""
+    code = np.zeros(len(ident), dtype=np.int32)
+    if len(inv):
+        code = np.where(inv.any(0), -2 - inv.argmax(0), code)
+    if len(trans):
+        code = np.where(trans.any(0), 1 + trans.argmax(0), code)
+    code[ident] = 0
+    return code
+
+
+def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.ndarray,
+             m: int, ws: VerifierWorkspace,
+             witness: bool) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
+    """Run the DP row by row on the windows t_arr[s:s+m] for s in starts.
+
+    p_rev is the pattern reversed and padded with alpha entries of -1.
+    Yields (s, blocks) for the matching windows in the order of starts.
+    """
+    alpha, bcap, horizon, srows = ws.alpha, ws.bcap, ws.horizon, ws.srows
+    ilen = 2 * bcap + 1
+    bands = ilen + 2 * alpha
+    tests = bcap + 2 * alpha
+    n = len(starts)
+    ids = np.arange(n)
+    # Row r holds w[m - 1 + bcap - r] of every window and -1 off the window,
+    # so the positions j = i + bcap down to i - max(alpha, bcap) that feed
+    # row i are one forward block from row m - 1 - i.
+    block = np.full((m + bcap + max(alpha, bcap), n), -1, dtype=p_rev.dtype)
+    block[bcap:bcap + m] = t_arr[starts + np.arange(m - 1, -1, -1)[:, None]]
+    record = np.zeros((m, n), dtype=np.int32) if witness else None
+    ws.run[:bands * n] = 0
+    ws.S[:srows * n] = True  # S[-1] is true: the empty prefix matches
+    pos = srows - horizon - 1  # S[i] is row pos, S[i - d] row pos + d
+    rebind = True
     for i in range(m):
-        pi = p[i]
-        wi = w[i]
+        if rebind:
+            # Views of the workspace buffers for the n live windows.
+            rebind = False
+            flat = block.ravel()
+            eq, run, grown = ws.eq[:bands * n], ws.run[:bands * n], ws.grown[:bands * n]
+            eq_i = eq[bcap * n:(bcap + 1) * n]
+            eq_F = eq[ilen * n:(ilen + alpha) * n]
+            eq_C = eq[(ilen + alpha) * n:].reshape(alpha, n)
+            head = min(ilen, 2) * n  # I chains entering the band start from 0
+            grown[:head] = 1
+            S = ws.S[:srows * n]
+            S2 = S.reshape(srows, n)
+            hit = ws.hit[:tests * n]
+            hit_I = hit[:bcap * n]
+            hit_F = hit[bcap * n:(bcap + alpha) * n]
+            hit_F2 = hit_F.reshape(alpha, n)
+            hit_C = hit[(bcap + alpha) * n:]
+            hits = hit[:(bcap + alpha) * n].reshape(bcap + alpha, n)
+            need = ws.need[:tests * n]
+            need.reshape(tests, n)[:] = ws.k[:, None]
+        if pos < 0:
+            S2[srows - horizon:] = S2[:horizon]
+            pos = srows - horizon - 1
+        r = (m - 1 - i) * n
+        pi = p_codes[i]
+        np.equal(flat[r:r + ilen * n], pi, out=eq[:ilen * n])
+        if bcap:
+            # I follows anti-diagonals: row i's u comes from row i-1's u - 2.
+            np.add(run[:ilen * n - head], 1, out=grown[head:ilen * n])
         if alpha:
-            for k in range(alpha + 1):
-                j = i - k
-                rowF[k] = rowFp[k] + 1 if (j >= 0 and w[j] == pi) else 0
-            for d in range(1, alpha + 1):
-                q = i - d
-                colF[d] = colFp[d] + 1 if (q >= 0 and p[q] == wi) else 0
-        if bcap > 0:
-            for u in range(ilen):
-                j = i + bcap - u
-                if 0 <= j < m and w[j] == pi:
-                    rowI[u] = rowIp[u - 2] + 1 if u >= 2 else 1
-                else:
-                    rowI[u] = 0
-        si = False
-        why = None
-        if pi == wi and (i == 0 or S[(i - 1) % ring]):
-            si = True
-            why = (0, 0)
-        if not si and alpha:
-            kmax = min(alpha, (i + 1) // 2)
-            for k in range(1, kmax + 1):
-                if rowF[k] >= k and colF[k] >= k:
-                    back = i - 2 * k
-                    if back < 0 or S[back % ring]:
-                        si = True
-                        why = (1, k)
-                        break
-        if not si and bcap > 0:
-            kmax = min(beta, i + 1)
-            for k in range(2, kmax + 1):
-                if rowI[k + bcap - 1] >= k:
-                    back = i - k
-                    if back < 0 or S[back % ring]:
-                        si = True
-                        why = (2, k)
-                        break
-        S[i % ring] = 1 if si else 0
-        if record is not None:
-            record.append(why)
-        if si:
-            last_true = i
-        elif i - last_true >= horizon and i >= horizon - 1:
-            # No S bit survives within the dependency horizon: dead window.
-            return False
-        rowF, rowFp = rowFp, rowF
-        colF, colFp = colFp, colF
-        rowI, rowIp = rowIp, rowI
-    return S[(m - 1) % ring] == 1
+            np.equal(flat[r + (bcap + 1) * n:r + (bcap + 1 + alpha) * n], pi, out=eq_F)
+            np.equal(p_rev[m - i:m - i + alpha, None], flat[r + bcap * n:r + (bcap + 1) * n],
+                     out=eq_C)
+            np.add(run[ilen * n:], 1, out=grown[ilen * n:])
+        np.multiply(grown, eq, out=run)
+        srow = S2[pos]
+        np.logical_and(eq_i, S2[pos + 1], out=srow)
+        if np.count_nonzero(srow) < n:
+            if tests:
+                ident = srow.copy() if witness else None
+                # Inversion of length k: I[i, i-k+1] >= k and S[i-k].
+                # Translocation of halves k: both F >= k and S[i-2k].
+                np.greater_equal(run[(bcap + 1) * n:], need, out=hit)
+                np.logical_and(hit_I, S[(pos + 2) * n:(pos + 2 + bcap) * n], out=hit_I)
+                np.logical_and(hit_F, hit_C, out=hit_F)
+                np.logical_and(hit_F2, S2[pos + 2:pos + 2 * alpha + 1:2], out=hit_F2)
+                np.logical_or(srow, np.logical_or.reduce(hits, axis=0), out=srow)
+                if witness:
+                    record[i, ids] = _why(ident, hit_I.reshape(bcap, n), hit_F2)
+            if horizon - 1 <= i < m - 1:
+                # A window with no S bit among the last horizon rows is dead.
+                keep = S2[pos:pos + horizon].any(0)
+                if not keep.all():
+                    n2 = int(keep.sum())
+                    if not n2:
+                        return
+                    block = block[:, keep]
+                    ids = ids[keep]
+                    for buf, nrows in ((ws.run, bands), (ws.S, srows)):
+                        buf[:nrows * n2] = buf[:nrows * n].reshape(nrows, n)[:, keep].ravel()
+                    n = n2
+                    rebind = True
+        pos -= 1
+    for c in np.flatnonzero(ws.S[(pos + 1) * n:(pos + 2) * n]).tolist():
+        yield int(starts[ids[c]]), _blocks(record[:, ids[c]].tolist()) if witness else None
 
 
-def _verify_rows_np(p_list: list, p_arr: np.ndarray, t_arr: np.ndarray, s: int,
-                    m: int, alpha: int, beta: int, ws: VerifierWorkspace) -> bool:
-    ws._reset()
-    rowF, rowFp = ws.rowF, ws.rowFp
-    colF, colFp = ws.colF, ws.colFp
-    rowI, rowIp = ws.rowI, ws.rowIp
-    fm, cm, im = ws.fmatch, ws.cmatch, ws.imatch
-    tmpF, tmpC, tmpI = ws.tmpF, ws.tmpC, ws.tmpI
-    S = ws.sring
-    ring = ws.ring
-    horizon = ws.horizon
-    bcap = beta - 1
-    w_list = t_arr[s:s + m].tolist()
-    last_true = -1
-    for i in range(m):
-        pi = p_list[i]
-        wi = w_list[i]
-        if alpha:
-            span = min(alpha, i) + 1
-            fm[span:] = False
-            np.equal(t_arr[s + i - span + 1:s + i + 1][::-1], pi, out=fm[:span])
-            np.add(rowFp, 1, out=tmpF)
-            np.multiply(tmpF, fm, out=rowF)
-            depth = min(alpha, i)
-            cm[0] = False
-            cm[depth + 1:] = False
-            if depth:
-                np.equal(p_arr[i - depth:i][::-1], wi, out=cm[1:depth + 1])
-            np.add(colFp, 1, out=tmpC)
-            np.multiply(tmpC, cm, out=colF)
-        if bcap > 0:
-            jlo = max(0, i - bcap)
-            jhi = min(m - 1, i + bcap)
-            ulo = i + bcap - jhi
-            uhi = i + bcap - jlo
-            im[:ulo] = False
-            im[uhi + 1:] = False
-            np.equal(t_arr[s + jlo:s + jhi + 1][::-1], pi, out=im[ulo:uhi + 1])
-            np.add(rowIp[:-2], 1, out=tmpI[2:])
-            tmpI[0] = tmpI[1] = 1
-            np.multiply(tmpI, im, out=rowI)
-        si = False
-        if pi == wi and (i == 0 or S[(i - 1) % ring]):
-            si = True
-        if not si and alpha:
-            np.greater_equal(rowF[1:], ws.kb, out=ws.bhits)
-            np.greater_equal(colF[1:], ws.kb, out=ws.bhits2)
-            ws.bhits &= ws.bhits2
-            if ws.bhits.any():
-                for idx in np.nonzero(ws.bhits)[0].tolist():
-                    back = i - 2 * (idx + 1)
-                    if back < 0 or S[back % ring]:
-                        si = True
-                        break
-        if not si and bcap > 0:
-            np.greater_equal(rowI[beta:], ws.kc, out=ws.chits)
-            if ws.chits.any():
-                for idx in np.nonzero(ws.chits)[0].tolist():
-                    back = i - (idx + 2)
-                    if back < 0 or S[back % ring]:
-                        si = True
-                        break
-        S[i % ring] = 1 if si else 0
-        if si:
-            last_true = i
-        elif i - last_true >= horizon and i >= horizon - 1:
-            return False
-        rowF, rowFp = rowFp, rowF
-        colF, colFp = colFp, colF
-        rowI, rowIp = rowIp, rowI
-    return S[(m - 1) % ring] == 1
+def _code_points(seq: str) -> np.ndarray:
+    # Equal symbols have equal code points, so these serve as codes.
+    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
 
 
-def _encode_pair(pattern, text):
-    alphabet = build_alphabet([pattern, text])
-    return alphabet.encode_sequence(pattern), alphabet.encode_sequence(text)
-
-
-def _blocks(record: list) -> tuple[Block, ...]:
+def _blocks(codes: list) -> tuple[Block, ...]:
     """The block decomposition of a matched window from its back-pointers.
 
-    Ties are broken toward identity, then the shortest translocation, then
-    the shortest inversion (the order in which the row engine tests them).
+    codes[i] says how S[i] was set: 0 by identity, k > 0 by a translocation
+    of halves k, -k by an inversion of length k.  Ties are broken toward
+    identity, then the shortest translocation, then the shortest inversion.
     """
     blocks = []
-    i = len(record) - 1
+    i = len(codes) - 1
     while i >= 0:
-        cond, k = record[i]
-        if cond == 0:
+        k = codes[i]
+        if k == 0:
             blocks.append(Block(IDENTITY, i))
             i -= 1
-        elif cond == 1:
+        elif k > 0:
             blocks.append(Block(TRANSLOCATION, i - 2 * k + 1, k))
             i -= 2 * k
         else:
-            blocks.append(Block(INVERSION, i - k + 1, k))
-            i -= k
+            blocks.append(Block(INVERSION, i + k + 1, -k))
+            i += k
     blocks.reverse()
     return tuple(blocks)
 
@@ -294,36 +231,25 @@ def _verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
                     witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
     """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
 
-    The one place that picks a row engine and slices windows for it.  Both
-    engines take code arrays; the Python one also takes symbol strings.  A
-    witness needs back-pointers, which only the Python engine records, so
-    witness=True runs it and builds the blocks from the same pass; blocks is
-    None otherwise.  params must be normalized for len(pattern); a supplied
-    workspace decides the engine, so it must not be a vectorized one when a
-    witness is asked for.
+    The one entry to the verifier: starts are taken CHUNK at a time and each
+    chunk is advanced by one engine run.  Pattern and text are symbol
+    strings or code arrays of one alphabet.  blocks is the witness when one
+    is asked for, else None.  params must be normalized for len(pattern).
     """
     m = len(pattern)
-    alpha, beta = params.alpha, params.beta
-    ws = workspace
-    if ws is None:
-        ws = VerifierWorkspace(alpha, beta, use_numpy=False if witness else None)
-    if ws.use_numpy:
-        if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
-            p_arr, t_arr = pattern, text
-        else:
-            p_arr, t_arr = _encode_pair(pattern, text)
-        p_list = p_arr.tolist()
-        for s in starts:
-            if _verify_rows_np(p_list, p_arr, t_arr, s, m, alpha, beta, ws):
-                yield s, None
-        return
-    p_list = pattern.tolist() if isinstance(pattern, np.ndarray) else pattern
-    t_is_arr = isinstance(text, np.ndarray)
-    for s in starts:
-        w = text[s:s + m]
-        record = [] if witness else None
-        if _verify_rows_py(p_list, w.tolist() if t_is_arr else w, m, alpha, beta, ws, record):
-            yield s, _blocks(record) if witness else None
+    ws = workspace if workspace is not None else VerifierWorkspace(params.alpha, params.beta)
+    if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
+        p_arr, t_arr = pattern, text
+    else:
+        p_arr, t_arr = _code_points(pattern), _code_points(text)
+    # A signed type that holds every code and the -1 padding.
+    dtype = np.promote_types(np.promote_types(p_arr.dtype, t_arr.dtype), np.int16)
+    p_rev = np.full(m + ws.alpha, -1, dtype=dtype)
+    p_rev[:m] = p_arr[::-1]
+    p_codes = list(p_arr.astype(dtype))
+    starts = iter(starts)
+    while len(chunk := np.fromiter(islice(starts, CHUNK), dtype=np.intp)):
+        yield from _advance(p_codes, p_rev, t_arr, chunk, m, ws, witness)
 
 
 def _check_call(pattern: Sequence, text: Sequence, s: int,

@@ -139,6 +139,12 @@ class TestDensity:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[1] == "4"
 
+    def test_zero_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--random", "100", "4", "0", "-m", "4", "--count", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_empirical_tracks_theoretical_on_uniform_text(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--random", "100000", "4", "11",
                                "-m", "5", "--count", "20", "--seed", "2")
@@ -169,6 +175,13 @@ class TestBench:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--runs must be >= 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["-m", "8", "--count", "0"], ["-m", "8,100"]])
+    def test_bad_input_prints_no_partial_csv(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--random", "10", "4", "1", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_length_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

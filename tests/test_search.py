@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import SearchParams, apply_blocks, maximal_params
+from mdmatch.counting import scan_candidates
 from mdmatch.oracle import naive_search
 from mdmatch.search import (
     Matcher,
@@ -13,7 +14,7 @@ from mdmatch.search import (
     scan_all_search,
     search_stats,
 )
-from mdmatch.verify import VerifierWorkspace, verify_with_witness
+from mdmatch.verify import CHUNK, verify_with_witness
 
 
 def positions(occs):
@@ -161,30 +162,60 @@ class TestWitnessPass:
             self.check(p, text, params)
 
     def test_wide_bands(self):
-        # Maximal params at m >= 96: find without a witness runs the
-        # vectorized engine, with a witness the recording Python engine.
         rng = random.Random(1202)
         for m in (96, 111, 128):
             params = maximal_params(m)
-            assert VerifierWorkspace(params.alpha, params.beta).use_numpy
             p, text = self.planted_text(rng, 4, m, params.alpha, params.beta)
             self.check(p, text, params)
 
     def test_one_engine_run_per_candidate(self, monkeypatch):
         # The package's verify function shadows its verify module as an attribute.
         verify_module = importlib.import_module("mdmatch.verify")
-        runs = []
-        for name in ("_verify_rows_py", "_verify_rows_np"):
-            engine = getattr(verify_module, name)
-            monkeypatch.setattr(verify_module, name,
-                                lambda *a, engine=engine, **kw: runs.append(1) or engine(*a, **kw))
+        engine = verify_module._advance
+        advanced = []
+        monkeypatch.setattr(verify_module, "_advance",
+                            lambda *a: advanced.extend(a[3].tolist()) or engine(*a))
         rng = random.Random(1203)
         for m in (6, 100):
             params = maximal_params(m)
             p, text = self.planted_text(rng, 2, m, params.alpha, params.beta)
             matcher = Matcher(text)
-            candidates = matcher.stats(p, params).candidates
-            runs.clear()
-            occs = matcher.find(p, params, with_witness=True)
-            assert len(runs) == candidates
-            assert all(occ.witness is not None for occ in occs)
+            encode = matcher.alphabet.encode_sequence
+            candidates = scan_candidates(encode(p), encode(text))
+            for with_witness in (False, True):
+                advanced.clear()
+                occs = matcher.find(p, params, with_witness=with_witness)
+                assert advanced == candidates.tolist()
+                assert all((occ.witness is not None) == with_witness for occ in occs)
+
+    def test_windows_dying_inside_a_chunk(self):
+        # Narrow bands on a binary text: most of the many candidates of each
+        # chunk die after a few rows while the planted ones go on matching.
+        rng = random.Random(1204)
+        for _ in range(6):
+            m = rng.randint(10, 20)
+            params = SearchParams(rng.randint(1, 2), rng.randint(2, 3))
+            p = rand_string(rng, 2, m)
+            parts = []
+            for _ in range(40):
+                parts.append(rand_string(rng, 2, rng.randint(0, m)))
+                parts.append(apply_blocks(p, random_block_decomposition(
+                    rng, m, params.alpha, params.beta)))
+            text = "".join(parts)
+            matcher = Matcher(text)
+            assert matcher.stats(p, params).candidates > CHUNK
+            self.check(p, text, params)
+            assert positions(matcher.find(p, params)) == positions(naive_search(p, text, params))
+
+
+class TestChunks:
+    def test_more_candidates_than_a_chunk(self):
+        rng = random.Random(1301)
+        text = rand_string(rng, 2, 8 * CHUNK)
+        for m in (4, 9):
+            p = text[17:17 + m]
+            for params in (maximal_params(m), SearchParams(1, 2)):
+                ref = positions(naive_search(p, text, params))
+                assert search_stats(p, text, params).candidates > CHUNK
+                assert positions(filtered_search(p, text, params)) == ref
+                assert positions(scan_all_search(p, text, params)) == ref

@@ -10,23 +10,13 @@ from mdmatch.core import (
     TRANSLOCATION,
     SearchParams,
     apply_blocks,
-    build_alphabet,
 )
 from mdmatch.oracle import oracle_match
 from mdmatch.verify import (
     VerifierWorkspace,
-    _verify_rows_np,
     verify,
     verify_with_witness,
 )
-
-
-def verify_numpy(p, w, alpha, beta):
-    """Run the vectorized engine regardless of band size."""
-    ab = build_alphabet([p, w])
-    pa, ta = ab.encode_sequence(p), ab.encode_sequence(w)
-    ws = VerifierWorkspace(alpha, beta, use_numpy=True)
-    return _verify_rows_np(pa.tolist(), pa, ta, 0, len(p), alpha, beta, ws)
 
 
 class TestVerifyExamples:
@@ -74,9 +64,9 @@ class TestVerifyProperties:
             else:
                 w = p
             params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
-            expected = oracle_match(p, w, params)
-            assert verify(p, w, 0, params) == expected
-            assert verify_numpy(p, w, params.alpha, params.beta) == expected
+            got = verify(p, w, 0, params)
+            assert got == oracle_match(p, w, params)
+            assert got == enum_match(p, w, params.alpha, params.beta)
 
     def test_engines_agree_on_wider_bands(self):
         rng = random.Random(77)
@@ -87,10 +77,9 @@ class TestVerifyProperties:
             blocks = random_block_decomposition(rng, m, m // 2, m)
             w = apply_blocks(p, blocks) if rng.random() < 0.6 else rand_string(rng, sigma, m)
             alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
-            py = verify(p, w, 0, SearchParams(alpha, beta),
-                        VerifierWorkspace(alpha, beta, use_numpy=False))
-            assert py == verify_numpy(p, w, alpha, beta)
-            assert py == enum_match(p, w, alpha, beta)
+            got = verify(p, w, 0, SearchParams(alpha, beta))
+            assert got == oracle_match(p, w, SearchParams(alpha, beta))
+            assert got == enum_match(p, w, alpha, beta)
 
     def test_generative_completeness(self):
         rng = random.Random(4001)
@@ -138,11 +127,10 @@ class TestVerifyProperties:
         sizes = set()
         for m in (64, 512, 4096):
             text = rand_string(rng, 4, m)
-            for use_numpy in (False, True):
-                ws = VerifierWorkspace(4, 8, use_numpy=use_numpy)
-                verify(text[:m], text, 0, SearchParams(4, 8), ws)
-                sizes.add((use_numpy, ws.cells()))
-        assert len(sizes) == 2  # one size per engine, none scale with m
+            ws = VerifierWorkspace(4, 8)
+            verify(text[:m], text, 0, SearchParams(4, 8), ws)
+            sizes.add(ws.cells())
+        assert len(sizes) == 1
 
 
 class TestWitness:
@@ -157,6 +145,18 @@ class TestWitness:
     def test_identity_then_swap(self):
         blocks = verify_with_witness("aab", "aba", 0, SearchParams(1, 0))
         assert blocks == (Block(IDENTITY, 0), Block(TRANSLOCATION, 1, 1))
+
+    # Each window has several valid decompositions; these pin the tie-break
+    # (identity, then the shortest translocation, then the shortest inversion).
+    @pytest.mark.parametrize("p, w, params, tokens", [
+        ("ab", "ba", SearchParams(1, 2), "T@0:1"),
+        ("aabb", "bbaa", SearchParams(2, 4), "T@0:2"),
+        ("abab", "baba", SearchParams(2, 4), "T@0:1 T@2:1"),
+        ("abcd", "dcba", SearchParams(2, 4), "V@0:4"),
+    ])
+    def test_tie_break(self, p, w, params, tokens):
+        blocks = verify_with_witness(p, w, 0, params)
+        assert " ".join(b.token() for b in blocks) == tokens
 
     def test_none_when_no_match(self):
         assert verify_with_witness("ab", "ba", 0, SearchParams(0, 1)) is None
