@@ -1,9 +1,9 @@
 """Approximate string matching under translocations of equal-length adjacent
-factors and inversions of factors, with a constant-time-per-shift counting
-filter and a banded dynamic-programming verifier."""
+factors and inversions of factors, with a counting filter (permutation test)
+and a banded dynamic-programming verifier.  Symbols are coded by their
+Unicode code points (core.code_points) from text to verifier."""
 
 from .core import (
-    Alphabet,
     Block,
     IDENTITY,
     INVERSION,
@@ -11,7 +11,7 @@ from .core import (
     SearchParams,
     TRANSLOCATION,
     apply_blocks,
-    build_alphabet,
+    code_points,
     maximal_params,
     normalize_params,
 )
@@ -31,7 +31,6 @@ from .verify import VerifierWorkspace, verify, verify_with_witness
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "Block",
     "CountState",
     "IDENTITY",
@@ -45,7 +44,7 @@ __all__ = [
     "VerifierWorkspace",
     "advance",
     "apply_blocks",
-    "build_alphabet",
+    "code_points",
     "extract_patterns",
     "filtered_search",
     "gen_random_text",

@@ -98,17 +98,22 @@ def cmd_search(args, parser) -> int:
     return 0
 
 
-def _check_lengths(parser, count: int, lengths: list[int], text: str) -> None:
+def _check_lengths(parser, args, lengths: list[int], text: str) -> None:
     # Checked before any output, so a failed run prints no partial CSV.
-    if count < 1:
+    if args.count < 1:
         parser.error("--count must be >= 1")
+    if min(lengths) < 1:
+        parser.error("pattern length -m must be >= 1")
     if max(lengths) > len(text):
         parser.error("pattern length exceeds text length")
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be >= 0")
 
 
 def cmd_density(args, parser) -> int:
     text, sigma = _experiment_text(args, parser)
-    _check_lengths(parser, args.count, [args.length], text)
+    _check_lengths(parser, args, [args.length], text)
     params = _params_for(args.length, args.alpha, args.beta)
     patterns = extract_patterns(text, args.length, args.count, args.seed)
     matcher = Matcher(text)
@@ -143,7 +148,7 @@ def cmd_bench(args, parser) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     text, _sigma = _experiment_text(args, parser)
-    _check_lengths(parser, args.count, args.lengths, text)
+    _check_lengths(parser, args, args.lengths, text)
     matcher = Matcher(text)
     print("m,algorithm,mean_ms,candidates_per_position")
     for m in args.lengths:

@@ -1,4 +1,4 @@
-"""Shared domain types: alphabets, search parameters, matches and their witnesses.
+"""Shared domain types: the symbol encoding, search parameters, matches and their witnesses.
 
 A match witness is a list of blocks that, replayed left to right on the
 pattern, reconstructs the matched text window.  Three block kinds exist:
@@ -58,83 +58,13 @@ def normalize_params(params: SearchParams, m: int) -> SearchParams:
     return SearchParams(alpha=alpha, beta=beta)
 
 
-class Alphabet:
-    """Bijective mapping between input symbols and dense codes 0..size-1.
+def code_points(seq: str) -> np.ndarray:
+    """The symbols of seq as an int32 array of Unicode code points.
 
-    Codes are assigned in first-occurrence order, which keeps encodings
-    deterministic across runs.
+    The search path's only symbol encoding: equal symbols get equal codes,
+    and no table is built or grown.  Lone surrogates keep their code point.
     """
-
-    __slots__ = ("symbols", "_codes", "_lut")
-
-    def __init__(self, symbols: str):
-        if not symbols:
-            raise ValueError("no symbols")
-        self.symbols = symbols
-        self._codes = {c: i for i, c in enumerate(symbols)}
-        if len(self._codes) != len(symbols):
-            raise ValueError("duplicate symbols")
-        # Direct 256-entry table for byte-sized alphabets; -1 marks unregistered.
-        self._lut = None
-        if all(ord(c) < 256 for c in symbols) and len(symbols) <= 256:
-            lut = np.full(256, -1, dtype=np.int16)
-            for c, i in self._codes.items():
-                lut[ord(c)] = i
-            self._lut = lut
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def encode(self, symbol: str) -> int:
-        try:
-            return self._codes[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
-
-    def decode(self, code: int) -> str:
-        if not 0 <= code < len(self.symbols):
-            raise ValueError(f"code {code} out of range")
-        return self.symbols[code]
-
-    def encode_sequence(self, seq: str) -> np.ndarray:
-        """Encode a symbol string to a dense uint8/int32 code array."""
-        if self._lut is not None:
-            try:
-                raw = np.frombuffer(seq.encode("latin-1"), dtype=np.uint8)
-            except UnicodeEncodeError:
-                raw = None
-            if raw is not None:
-                codes = self._lut[raw]
-                if codes.min(initial=0) < 0:
-                    bad = seq[int(np.argmax(codes < 0))]
-                    raise ValueError(f"symbol {bad!r} not in alphabet")
-                if self.size <= 256:
-                    return codes.astype(np.uint8)
-                return codes.astype(np.int32)
-        codes = self._codes
-        try:
-            out = [codes[c] for c in seq]
-        except KeyError as exc:
-            raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
-        dtype = np.uint8 if self.size <= 256 else np.int32
-        return np.array(out, dtype=dtype)
-
-    def decode_sequence(self, codes: Iterable[int]) -> str:
-        return "".join(self.symbols[c] for c in codes)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({self.symbols!r})"
-
-
-def build_alphabet(sequences: Iterable[str]) -> Alphabet:
-    """Build an alphabet covering every symbol of the inputs, in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for seq in sequences:
-        seen.update(dict.fromkeys(seq))
-    if not seen:
-        raise ValueError("no symbols")
-    return Alphabet("".join(seen))
+    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
 
 
 @dataclass(frozen=True)

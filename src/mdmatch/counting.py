@@ -1,11 +1,16 @@
 """Counting filter over a sliding window.
 
-The filter keeps, per symbol code c, the signed count
+The paper's rolling update keeps, per symbol code c, the signed count
 g[c] = occ_pattern(c) - occ_window(c) and the scalar
 delta = sum_c |g[c]|.  delta is zero exactly when the current window is a
 permutation of the pattern, which is a necessary condition for a match
 under translocations and inversions.  Shifting the window by one position
-updates delta in constant time.
+updates delta in constant time.  CountState, init_counts, advance and
+rolling_deltas implement it as the reference.
+
+The search path runs scan_candidates instead: it needs only symbol
+equality, so it takes code points as they are and makes vectorized passes
+over the pattern's distinct symbols, never one per text symbol.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -78,6 +84,9 @@ def rolling_deltas(pattern: Sequence[int], text: Sequence[int],
     if m > n:
         return
     t = _as_code_list(text)
+    if sigma is None:
+        # The first window alone may miss the text's largest code.
+        sigma = max(max(_as_code_list(pattern)), max(t)) + 1
     state = init_counts(pattern, t, sigma)
     yield 0, state.delta
     for s in range(n - m):
@@ -85,14 +94,17 @@ def rolling_deltas(pattern: Sequence[int], text: Sequence[int],
         yield s + 1, state.delta
 
 
-def scan_candidates(pattern: Sequence[int], text: Sequence[int],
-                    sigma: int | None = None) -> np.ndarray:
+def scan_candidates(pattern: Sequence[int], text: Sequence[int]) -> np.ndarray:
     """All positions whose window is a permutation of the pattern, ascending.
 
-    Vectorized: one cumulative-count pass per alphabet code, summing
-    |occ_pattern(c) - occ_window(c)| into a per-position delta.  Output is
-    identical to following the rolling update and collecting delta == 0
-    positions.
+    Vectorized: one prefix-count pass per distinct pattern symbol keeps the
+    windows that hold it exactly as often as the pattern does.  A length-m
+    window that holds every pattern symbol at its pattern count holds m
+    pattern symbols, so its histogram equals the pattern's.  Once at most
+    n / m windows are left, their sorted symbols are compared with the
+    sorted pattern instead, so the cost is O(n * d) for d distinct pattern
+    symbols at worst and the extra memory stays O(n).  The output is
+    identical to the delta == 0 positions of the rolling update.
     """
     p = np.asarray(pattern)
     t = np.asarray(text)
@@ -101,17 +113,18 @@ def scan_candidates(pattern: Sequence[int], text: Sequence[int],
         raise ValueError("empty pattern")
     if m > n:
         return np.empty(0, dtype=np.int64)
-    if sigma is None:
-        sigma = int(max(p.max(), t.max())) + 1
-    occ = np.bincount(p.astype(np.int64), minlength=sigma)
-    delta = np.zeros(n - m + 1, dtype=np.int32)
-    cum = np.empty(n + 1, dtype=np.int32)
-    cum[0] = 0
-    win = np.empty(n - m + 1, dtype=np.int32)
-    for c in range(sigma):
+    symbols, counts = np.unique(p, return_counts=True)
+    # Higher counts first: a window matches a high count less often.
+    order = np.argsort(-counts, kind="stable")
+    cum = np.zeros(n + 1, dtype=np.int32)
+    cand = None
+    for c, k in zip(symbols[order], counts[order]):
         np.cumsum(t == c, dtype=np.int32, out=cum[1:])
-        np.subtract(cum[m:], cum[:-m], out=win)
-        np.subtract(win, np.int32(occ[c]), out=win)
-        np.abs(win, out=win)
-        delta += win
-    return np.nonzero(delta == 0)[0]
+        if cand is None:
+            cand = np.flatnonzero(cum[m:] - cum[:-m] == k)
+        else:
+            cand = cand[cum[cand + m] - cum[cand] == k]
+        if len(cand) * m <= n:
+            windows = np.sort(sliding_window_view(t, m)[cand], axis=1)
+            return cand[(windows == np.sort(p)).all(axis=1)]
+    return cand

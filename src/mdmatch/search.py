@@ -7,16 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
-from .core import (
-    Alphabet,
-    Occurrence,
-    SearchParams,
-    build_alphabet,
-    maximal_params,
-    normalize_params,
-)
+from .core import Occurrence, SearchParams, code_points, maximal_params, normalize_params
 from .counting import scan_candidates
 from .verify import _verify_windows
 
@@ -33,35 +24,21 @@ class SearchStats:
 
 
 class Matcher:
-    """Searches one text repeatedly; the text is encoded once.
+    """Searches one text repeatedly; the text is encoded once, by code point.
 
-    The alphabet grows on demand when a pattern brings new symbols
-    (existing codes stay stable, so the encoded text is reused).
+    A pattern symbol absent from the text simply gets no candidates.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.alphabet = build_alphabet([text]) if text else None
-        self._t_arr = self.alphabet.encode_sequence(text) if text else np.empty(0, dtype=np.uint8)
-
-    def _encode_pattern(self, pattern: str) -> np.ndarray:
-        if self.alphabet is None:
-            self.alphabet = build_alphabet([pattern])
-            self._t_arr = self.alphabet.encode_sequence(self.text)
-            return self.alphabet.encode_sequence(pattern)
-        known = self.alphabet._codes
-        extra = "".join(dict.fromkeys(c for c in pattern if c not in known))
-        if extra:
-            self.alphabet = Alphabet(self.alphabet.symbols + extra)
-        return self.alphabet.encode_sequence(pattern)
+        self._t_arr = code_points(text)
 
     def _prep(self, pattern: str, params: SearchParams | None):
         m = len(pattern)
         if m == 0:
             raise ValueError("empty pattern")
         params = normalize_params(params or maximal_params(m), m)
-        p_arr = self._encode_pattern(pattern)
-        return m, params, p_arr
+        return m, params, code_points(pattern)
 
     def iter_find(self, pattern: str, params: SearchParams | None = None,
                   with_witness: bool = False) -> Iterator[Occurrence]:
@@ -69,7 +46,7 @@ class Matcher:
         m, params, p_arr = self._prep(pattern, params)
         if m > len(self.text):
             return
-        cands = scan_candidates(p_arr, self._t_arr, self.alphabet.size)
+        cands = scan_candidates(p_arr, self._t_arr)
         for s, witness in _verify_windows(p_arr, self._t_arr, cands.tolist(), params,
                                           witness=with_witness):
             yield Occurrence(s, witness)
@@ -93,7 +70,7 @@ class Matcher:
         n = len(self.text)
         if m > n:
             return SearchStats(0, 0, 0)
-        cands = scan_candidates(p_arr, self._t_arr, self.alphabet.size)
+        cands = scan_candidates(p_arr, self._t_arr)
         matches = sum(1 for _ in _verify_windows(p_arr, self._t_arr, cands.tolist(), params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)

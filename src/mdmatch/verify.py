@@ -48,6 +48,7 @@ from .core import (
     INVERSION,
     TRANSLOCATION,
     SearchParams,
+    code_points,
     maximal_params,
     normalize_params,
 )
@@ -197,11 +198,6 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
         yield int(starts[ids[c]]), _blocks(record[:, ids[c]].tolist()) if witness else None
 
 
-def _code_points(seq: str) -> np.ndarray:
-    # Equal symbols have equal code points, so these serve as codes.
-    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
-
-
 def _blocks(codes: list) -> tuple[Block, ...]:
     """The block decomposition of a matched window from its back-pointers.
 
@@ -232,16 +228,17 @@ def _verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
     """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
 
     The one entry to the verifier: starts are taken CHUNK at a time and each
-    chunk is advanced by one engine run.  Pattern and text are symbol
-    strings or code arrays of one alphabet.  blocks is the witness when one
-    is asked for, else None.  params must be normalized for len(pattern).
+    chunk is advanced by one engine run.  Pattern and text are code arrays
+    of one coding (Matcher passes code points) or symbol strings, which are
+    coded here by code point.  blocks is the witness when one is asked for,
+    else None.  params must be normalized for len(pattern).
     """
     m = len(pattern)
     ws = workspace if workspace is not None else VerifierWorkspace(params.alpha, params.beta)
     if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
         p_arr, t_arr = pattern, text
     else:
-        p_arr, t_arr = _code_points(pattern), _code_points(text)
+        p_arr, t_arr = code_points(pattern), code_points(text)
     # A signed type that holds every code and the -1 padding.
     dtype = np.promote_types(np.promote_types(p_arr.dtype, t_arr.dtype), np.int16)
     p_rev = np.full(m + ws.alpha, -1, dtype=dtype)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from conftest import rand_string, random_block_decomposition
-from mdmatch.core import SearchParams, apply_blocks, build_alphabet
+from mdmatch.core import SearchParams, apply_blocks, code_points
 from mdmatch.counting import advance, init_counts, scan_candidates
 from mdmatch.ingest import extract_patterns, gen_random_text
 from mdmatch.oracle import md_distance, naive_search, oracle_match, permutation_probability
@@ -105,11 +105,10 @@ def test_criterion_03_search_equivalence():
 
 def _mean_candidate_density(n, sigma, m, count, text_seed, pattern_seed):
     text = gen_random_text(n, sigma, text_seed)
-    alphabet = build_alphabet([text])
-    t_arr = alphabet.encode_sequence(text)
+    t_arr = code_points(text)
     densities = []
     for p in extract_patterns(text, m, count, pattern_seed):
-        cands = scan_candidates(alphabet.encode_sequence(p), t_arr, alphabet.size)
+        cands = scan_candidates(code_points(p), t_arr)
         densities.append(len(cands) / (n - m + 1))
     return float(np.mean(densities))
 

@@ -145,6 +145,17 @@ class TestDensity:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["-m", "-3"], "-m must be >= 1"),
+        (["-m", "4", "--beta", "-1"], "--beta must be >= 0"),
+    ])
+    def test_bad_parameter_is_named(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--random", "100", "4", "0", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_empirical_tracks_theoretical_on_uniform_text(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--random", "100000", "4", "11",
                                "-m", "5", "--count", "20", "--seed", "2")
@@ -176,7 +187,8 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--runs must be >= 1" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [["-m", "8", "--count", "0"], ["-m", "8,100"]])
+    @pytest.mark.parametrize("argv", [["-m", "8", "--count", "0"], ["-m", "8,100"],
+                                      ["-m", "8", "--alpha", "-1"]])
     def test_bad_input_prints_no_partial_csv(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--random", "10", "4", "1", *argv])

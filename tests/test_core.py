@@ -8,53 +8,30 @@ from mdmatch.core import (
     TRANSLOCATION,
     SearchParams,
     apply_blocks,
-    build_alphabet,
+    code_points,
     maximal_params,
     normalize_params,
 )
 
 
-class TestAlphabet:
-    def test_first_occurrence_order(self):
-        ab = build_alphabet(["abc"])
-        assert ab.size == 3
-        assert [ab.encode(c) for c in "abc"] == [0, 1, 2]
-
-    def test_single_symbol(self):
-        assert build_alphabet(["aaa"]).size == 1
-
-    def test_union_across_sequences(self):
-        ab = build_alphabet(["ACGT", "TTNN"])
-        assert ab.size == 5
-        assert [ab.encode(c) for c in "ACGTN"] == [0, 1, 2, 3, 4]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no symbols"):
-            build_alphabet([])
-        with pytest.raises(ValueError, match="no symbols"):
-            build_alphabet(["", ""])
+class TestCodePoints:
+    def test_equal_symbols_equal_codes(self):
+        codes = code_points("mississippi").tolist()
+        assert codes == [ord(c) for c in "mississippi"]
+        assert codes[1] == codes[4] == codes[7] == codes[10]
 
     def test_round_trip(self):
-        ab = build_alphabet(["hello world"])
-        for c in set("hello world"):
-            assert ab.decode(ab.encode(c)) == c
+        text = "hello world ACGT\xff"
+        assert "".join(map(chr, code_points(text).tolist())) == text
 
-    def test_encode_sequence_matches_scalar_encode(self):
-        ab = build_alphabet(["mississippi"])
-        arr = ab.encode_sequence("mississippi")
-        assert arr.tolist() == [ab.encode(c) for c in "mississippi"]
-        assert ab.decode_sequence(arr) == "mississippi"
-
-    def test_unknown_symbol_rejected(self):
-        ab = build_alphabet(["ab"])
-        with pytest.raises(ValueError, match="not in alphabet"):
-            ab.encode("z")
-        with pytest.raises(ValueError, match="not in alphabet"):
-            ab.encode_sequence("abz")
+    def test_empty_input(self):
+        codes = code_points("")
+        assert codes.size == 0 and codes.dtype == np.int32
 
     def test_wide_symbols(self):
-        ab = build_alphabet(["αβγ"])
-        assert ab.encode_sequence("γβα").tolist() == [2, 1, 0]
+        text = "αβγ\U0001F600\U0010FFFF\ud800"
+        assert code_points(text).tolist() == [ord(c) for c in text]
+        assert code_points(text).dtype == np.int32
 
 
 class TestParams:

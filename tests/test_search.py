@@ -4,11 +4,12 @@ import random
 import pytest
 
 from conftest import rand_string, random_block_decomposition
-from mdmatch.core import SearchParams, apply_blocks, maximal_params
+from mdmatch.core import SearchParams, apply_blocks, code_points, maximal_params
 from mdmatch.counting import scan_candidates
 from mdmatch.oracle import naive_search
 from mdmatch.search import (
     Matcher,
+    SearchStats,
     filtered_search,
     iter_filtered_search,
     scan_all_search,
@@ -132,6 +133,62 @@ class TestMatcher:
             assert len(pad) in found
 
 
+class TestOneEncoding:
+    """Matcher codes text and pattern by code point, with no alphabet table."""
+
+    @staticmethod
+    def check(p, text, params):
+        matcher = Matcher(text)
+        ref = positions(naive_search(p, text, params))
+        assert positions(matcher.find(p, params)) == ref
+        assert positions(matcher.scan_all(p, params)) == ref
+        witnessed = matcher.find(p, params, with_witness=True)
+        assert positions(witnessed) == ref
+        for occ in witnessed:
+            assert apply_blocks(p, occ.witness) == text[occ.position:occ.position + len(p)]
+        return ref
+
+    @staticmethod
+    def planted(rng, symbols, m, params):
+        # Every symbol once, in random order, with three rearranged copies of
+        # a pattern drawn from a few of them planted between.
+        p = "".join(rng.choice(symbols[:3]) for _ in range(m))
+        parts = rng.sample(symbols, len(symbols))
+        for _ in range(3):
+            w = apply_blocks(p, random_block_decomposition(rng, m, params.alpha, params.beta))
+            parts.insert(rng.randint(0, len(parts)), w)
+        return p, "".join(parts)
+
+    @pytest.mark.parametrize("symbols", [
+        [chr(0x41 + k) for k in range(300)],
+        [chr(0x1F600 + k) for k in range(40)] + ["\U0010FFFF"],
+    ], ids=["300-symbols", "non-BMP"])
+    def test_wide_alphabets(self, symbols):
+        rng = random.Random(1101)
+        for _ in range(12):
+            m = rng.randint(1, 8)
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            p, text = self.planted(rng, symbols, m, params)
+            assert len(self.check(p, text, params)) >= 3
+
+    def test_pattern_symbols_absent_from_text(self):
+        rng = random.Random(1102)
+        for absent in ("z", "\u0100", "\U0001F600", "\U0010FFFF"):
+            m = rng.randint(2, 8)
+            params = maximal_params(m)
+            p, text = self.planted(rng, list("abcdef"), m, params)
+            q = p[:-1] + absent
+            assert self.check(q, text, params) == []
+            assert Matcher(text).stats(q, params).candidates == 0
+            assert self.check(p, text, params)
+
+    def test_empty_text(self):
+        matcher = Matcher("")
+        assert matcher.find("a") == matcher.find("a", with_witness=True) == []
+        assert matcher.scan_all("ab") == []
+        assert matcher.stats("a") == SearchStats(0, 0, 0)
+
+
 class TestWitnessPass:
     @staticmethod
     def planted_text(rng, sigma, m, alpha, beta):
@@ -180,8 +237,7 @@ class TestWitnessPass:
             params = maximal_params(m)
             p, text = self.planted_text(rng, 2, m, params.alpha, params.beta)
             matcher = Matcher(text)
-            encode = matcher.alphabet.encode_sequence
-            candidates = scan_candidates(encode(p), encode(text))
+            candidates = scan_candidates(code_points(p), code_points(text))
             for with_witness in (False, True):
                 advanced.clear()
                 occs = matcher.find(p, params, with_witness=with_witness)
