@@ -46,7 +46,9 @@ def _load_records(path: str, raw: bool):
 
 def _load_patterns(args) -> list[str]:
     if args.pattern is not None:
-        return [args.pattern]
+        # argv arrives decoded with the file-system encoding; a --raw text is
+        # decoded as latin-1, so the pattern's bytes must be too.
+        return [os.fsencode(args.pattern).decode("latin-1") if args.raw else args.pattern]
     with open(args.pattern_file, "rb") as fh:
         data = fh.read()
     if data.startswith(b">"):
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--raw", action="store_true",
                           help="treat the text file as verbatim bytes, not FASTA")
     p_search.add_argument("text_file", metavar="TEXT", help="text file to search")
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(func=cmd_search, parser=p_search)
 
     p_density = subs.add_parser("density", help="candidate-density experiment (CSV)")
     _add_experiment_source(p_density)
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_density)
     p_density.add_argument("--seed", type=int, default=None,
                            help="pattern-extraction seed (default MDMATCH_SEED or 0)")
-    p_density.set_defaults(func=cmd_density)
+    p_density.set_defaults(func=cmd_density, parser=p_density)
 
     p_bench = subs.add_parser("bench", help="timing experiment (CSV)")
     _add_experiment_source(p_bench)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also time the verify-everywhere baseline")
     p_bench.add_argument("--seed", type=int, default=None,
                          help="pattern-extraction seed (default MDMATCH_SEED or 0)")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     p_gen = subs.add_parser("gen", help="write a seeded uniform random text file")
     p_gen.add_argument("-n", type=int, required=True, help="text length in symbols")
@@ -251,13 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=None,
                        help="generator seed (default MDMATCH_SEED or 0)")
     p_gen.add_argument("-o", "--out", required=True, help="output path")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, parser=p_gen)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Errors found after parsing print the subcommand's usage line.
+    parser = args.parser
     if "seed" in args and args.seed is None:
         args.seed = _env_seed(parser)
     try:

@@ -8,9 +8,13 @@ under translocations and inversions.  Shifting the window by one position
 updates delta in constant time.  CountState, init_counts, advance and
 rolling_deltas implement it as the reference.
 
-The search path runs scan_candidates instead: it needs only symbol
-equality, so it takes code points as they are and makes vectorized passes
-over the pattern's distinct symbols, never one per text symbol.
+The search path runs scan_candidates instead: one vectorized pass per
+pattern over a multiset fingerprint of every window, in the manner of
+Karp and Rabin (1987) but with an order-free sum.  Each code gets a 64-bit
+splitmix64 weight, and a window's fingerprint is the sum of its weights
+modulo 2**64, read off a prefix-sum array built once per text.  A
+permutation of the pattern always has the pattern's fingerprint; the rare
+window that has it by collision is rejected by an exact sorted compare.
 """
 
 from __future__ import annotations
@@ -94,17 +98,54 @@ def rolling_deltas(pattern: Sequence[int], text: Sequence[int],
         yield s + 1, state.delta
 
 
-def scan_candidates(pattern: Sequence[int], text: Sequence[int]) -> np.ndarray:
+# splitmix64 constants (Steele, Lea and Flood 2014).
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Symbols weighed, or windows compared, per numpy call: the temporaries stay
+# cache-sized, and the prefix is the only text-sized uint64 array.
+_SLICE = 1 << 15
+
+
+def _weights(codes: Sequence[int]) -> np.ndarray:
+    """The splitmix64 mix of each code, as uint64: one 64-bit weight per symbol."""
+    z = np.asarray(codes).astype(np.uint64)
+    z += _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
+    """uint64 prefix sums of the symbol weights, wrapping on overflow.
+
+    Entry k is the fingerprint of codes[:k], so the window codes[s:s+m] has
+    fingerprint prefix[s+m] - prefix[s] (also wrapping).  A sum does not
+    depend on order, so windows with equal histograms have equal
+    fingerprints; the converse can fail, and scan_candidates checks it.
+    """
+    codes = np.asarray(codes)
+    prefix = np.zeros(len(codes) + 1, dtype=np.uint64)
+    for i in range(0, len(codes), _SLICE):
+        prefix[1 + i:1 + i + _SLICE] = _weights(codes[i:i + _SLICE])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    return prefix
+
+
+def scan_candidates(pattern: Sequence[int], text: Sequence[int],
+                    prefix: np.ndarray | None = None) -> np.ndarray:
     """All positions whose window is a permutation of the pattern, ascending.
 
-    Vectorized: one prefix-count pass per distinct pattern symbol keeps the
-    windows that hold it exactly as often as the pattern does.  A length-m
-    window that holds every pattern symbol at its pattern count holds m
-    pattern symbols, so its histogram equals the pattern's.  Once at most
-    n / m windows are left, their sorted symbols are compared with the
-    sorted pattern instead, so the cost is O(n * d) for d distinct pattern
-    symbols at worst and the extra memory stays O(n).  The output is
-    identical to the delta == 0 positions of the rolling update.
+    One vectorized pass keeps the windows whose fingerprint equals the
+    pattern's; prefix is fingerprint_prefix(text), built here when not
+    given.  Every hit is then confirmed by comparing its sorted symbols with
+    the sorted pattern, so a fingerprint collision costs a sort but never
+    adds a candidate, and the output is identical to the delta == 0
+    positions of the rolling update.  Hits are confirmed at most n // m at a
+    time, so the extra memory stays O(n) even when every window is a hit.
     """
     p = np.asarray(pattern)
     t = np.asarray(text)
@@ -113,18 +154,22 @@ def scan_candidates(pattern: Sequence[int], text: Sequence[int]) -> np.ndarray:
         raise ValueError("empty pattern")
     if m > n:
         return np.empty(0, dtype=np.int64)
-    symbols, counts = np.unique(p, return_counts=True)
-    # Higher counts first: a window matches a high count less often.
-    order = np.argsort(-counts, kind="stable")
-    cum = np.zeros(n + 1, dtype=np.int32)
-    cand = None
-    for c, k in zip(symbols[order], counts[order]):
-        np.cumsum(t == c, dtype=np.int32, out=cum[1:])
-        if cand is None:
-            cand = np.flatnonzero(cum[m:] - cum[:-m] == k)
-        else:
-            cand = cand[cum[cand + m] - cum[cand] == k]
-        if len(cand) * m <= n:
-            windows = np.sort(sliding_window_view(t, m)[cand], axis=1)
-            return cand[(windows == np.sort(p)).all(axis=1)]
-    return cand
+    if prefix is None:
+        prefix = fingerprint_prefix(t)
+    fingerprint = _weights(p).sum(dtype=np.uint64)
+    count = n - m + 1
+    hit = np.empty(count, dtype=bool)
+    for i in range(0, count, _SLICE):
+        j = min(i + _SLICE, count)
+        np.equal(prefix[m + i:m + j] - prefix[i:j], fingerprint, out=hit[i:j])
+    hits = np.flatnonzero(hit)
+    windows = sliding_window_view(t, m)
+    sorted_p = np.sort(p)
+    step = max(1, n // m)
+    confirmed = []
+    for i in range(0, len(hits), step):
+        part = hits[i:i + step]
+        block = windows[part]
+        block.sort(axis=1)
+        confirmed.append(part[(block == sorted_p).all(axis=1)])
+    return np.concatenate(confirmed) if confirmed else hits

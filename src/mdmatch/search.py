@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Occurrence, SearchParams, code_points, maximal_params, normalize_params
-from .counting import scan_candidates
+from .counting import fingerprint_prefix, scan_candidates
 from .verify import _verify_windows
 
 
@@ -26,12 +26,21 @@ class SearchStats:
 class Matcher:
     """Searches one text repeatedly; the text is encoded once, by code point.
 
-    A pattern symbol absent from the text simply gets no candidates.
+    A pattern symbol absent from the text simply gets no candidates.  The
+    filter's fingerprint prefix of the text is built by the first find or
+    stats call and kept for the later ones, so constructing a Matcher stays
+    as cheap as encoding the text.
     """
 
     def __init__(self, text: str):
         self.text = text
         self._t_arr = code_points(text)
+        self._prefix = None
+
+    def _candidates(self, p_arr):
+        if self._prefix is None:
+            self._prefix = fingerprint_prefix(self._t_arr)
+        return scan_candidates(p_arr, self._t_arr, self._prefix)
 
     def _prep(self, pattern: str, params: SearchParams | None):
         m = len(pattern)
@@ -46,7 +55,7 @@ class Matcher:
         m, params, p_arr = self._prep(pattern, params)
         if m > len(self.text):
             return
-        cands = scan_candidates(p_arr, self._t_arr)
+        cands = self._candidates(p_arr)
         for s, witness in _verify_windows(p_arr, self._t_arr, cands.tolist(), params,
                                           witness=with_witness):
             yield Occurrence(s, witness)
@@ -70,7 +79,7 @@ class Matcher:
         n = len(self.text)
         if m > n:
             return SearchStats(0, 0, 0)
-        cands = scan_candidates(p_arr, self._t_arr)
+        cands = self._candidates(p_arr)
         matches = sum(1 for _ in _verify_windows(p_arr, self._t_arr, cands.tolist(), params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)

@@ -26,8 +26,15 @@ last max(2*alpha, beta) values of S, so the working space is independent
 of m.
 
 One engine runs this DP on a chunk of up to CHUNK candidate windows at a
-time.  Its band arrays are shaped (band, windows), so each step of a row is
-one numpy call for the whole chunk.  A window with no S bit among the last
+time.  A window equal to the pattern is accepted, with the all-identity
+witness, by one compare over the chunk before any row is run, so a
+pattern's exact copies never pay for the m rows of the DP.  When the DP
+could not drop the other windows for many rows, the cut test (_cuttable)
+decides them first from the cuts where the prefixes of p and w have equal
+multisets; a window that no chain of blocks between such cuts can match,
+like the pattern's occurrence shifted by one, leaves the chunk.  The band
+arrays are shaped (band, windows), so each step of a row is one numpy call
+for the whole chunk.  A window with no S bit among the last
 max(2*alpha, beta) rows can never match and is dropped from the chunk.  The
 translocation and inversion tests are skipped on rows where every live
 window extends by identity.  Back-pointers are recorded only when a witness
@@ -52,9 +59,15 @@ from .core import (
     maximal_params,
     normalize_params,
 )
+from .counting import _weights
 
 # Candidate windows advanced together, one numpy call per band and row.
 CHUNK = 128
+# The cut test runs when the DP would run more than this many rows per
+# window before it could drop one; a window with more than CUT_TEST_MAX
+# cuts is left to the DP.
+CUT_TEST_ROWS = 8
+CUT_TEST_MAX = 64
 
 
 class VerifierWorkspace:
@@ -118,19 +131,29 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
     ilen = 2 * bcap + 1
     bands = ilen + 2 * alpha
     tests = bcap + 2 * alpha
-    n = len(starts)
-    ids = np.arange(n)
     # Row r holds w[m - 1 + bcap - r] of every window and -1 off the window,
     # so the positions j = i + bcap down to i - max(alpha, bcap) that feed
     # row i are one forward block from row m - 1 - i.
-    block = np.full((m + bcap + max(alpha, bcap), n), -1, dtype=p_rev.dtype)
+    block = np.full((m + bcap + max(alpha, bcap), len(starts)), -1, dtype=p_rev.dtype)
     block[bcap:bcap + m] = t_arr[starts + np.arange(m - 1, -1, -1)[:, None]]
-    record = np.zeros((m, n), dtype=np.int32) if witness else None
+    # A window equal to the pattern matches by identity alone, which is also
+    # the witness the tie-break gives it, so it skips the DP.  Its column of
+    # record stays 0, identity at every row.
+    exact = (block[bcap:bcap + m] == p_rev[:m, None]).all(0)
+    ids = np.flatnonzero(~exact)
+    if len(ids) and CUT_TEST_ROWS * len(ids) < min(m, horizon):
+        # The DP cannot drop these windows for many rows; the cut test
+        # rejects most of those that cannot match in one pass each.
+        ids = ids[_cuttable(p_rev[:m], block[bcap:bcap + m, ids], alpha, ws.beta)]
+    if len(ids) < len(starts):
+        block = block[:, ids]
+    n = len(ids)
+    record = np.zeros((m, len(starts)), dtype=np.int32) if witness else None
     ws.run[:bands * n] = 0
     ws.S[:srows * n] = True  # S[-1] is true: the empty prefix matches
     pos = srows - horizon - 1  # S[i] is row pos, S[i - d] row pos + d
     rebind = True
-    for i in range(m):
+    for i in range(m if n else 0):
         if rebind:
             # Views of the workspace buffers for the n live windows.
             rebind = False
@@ -186,7 +209,8 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
                 if not keep.all():
                     n2 = int(keep.sum())
                     if not n2:
-                        return
+                        n = 0
+                        break
                     block = block[:, keep]
                     ids = ids[keep]
                     for buf, nrows in ((ws.run, bands), (ws.S, srows)):
@@ -194,8 +218,57 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
                     n = n2
                     rebind = True
         pos -= 1
-    for c in np.flatnonzero(ws.S[(pos + 1) * n:(pos + 2) * n]).tolist():
-        yield int(starts[ids[c]]), _blocks(record[:, ids[c]].tolist()) if witness else None
+    matched = exact
+    if n:
+        matched[ids[ws.S[(pos + 1) * n:(pos + 2) * n]]] = True
+    for c in np.flatnonzero(matched).tolist():
+        yield int(starts[c]), _blocks(record[:, c].tolist()) if witness else None
+
+
+def _cuttable(p_rev: np.ndarray, w_rev: np.ndarray, alpha: int, beta: int) -> np.ndarray:
+    """False for each window that cannot match; True where it may.
+
+    p_rev is the pattern reversed, and column c of w_rev is window c
+    reversed.  Every block of a match permutes its own span, so the cuts
+    between blocks lie where the prefixes of p and w have equal multisets,
+    read here off equal prefix sums of the filter's symbol weights (a
+    collision only adds a cut).  A window is kept when a chain of cuts from
+    0 to m exists whose every step is an identity symbol, a reversal of at
+    most beta symbols or a swap of two halves of at most alpha.  That is the
+    match condition itself, so the test never rejects a match; a window
+    with more than CUT_TEST_MAX cuts is kept untested.
+    """
+    m = len(p_rev)
+    size = p_rev.itemsize
+    p = p_rev[::-1]
+    cuts = np.cumsum(_weights(w_rev[::-1]), axis=0) == np.cumsum(_weights(p))[:, None]
+    pb, prb = p.tobytes(), p_rev.tobytes()
+    longest = max(2 * alpha, beta, 1)
+    keep = cuts[-1].copy()
+    for c in np.flatnonzero(keep).tolist():
+        ends = (np.flatnonzero(cuts[:, c]) + 1).tolist()
+        if len(ends) > CUT_TEST_MAX:
+            continue
+        wb = w_rev[::-1, c].tobytes()
+        reach = [0]
+        for b in ends:
+            for a in reversed(reach):
+                span = b - a
+                if span > longest:
+                    break
+                x, y = a * size, b * size
+                if span == 1:
+                    ok = wb[x:y] == pb[x:y]
+                else:
+                    ok = span <= beta and wb[x:y] == prb[(m - b) * size:(m - a) * size]
+                    h = span // 2 * size
+                    if not ok and span % 2 == 0 and span // 2 <= alpha:
+                        ok = wb[x:x + h] == pb[x + h:y] and wb[x + h:y] == pb[x:x + h]
+                if ok:
+                    reach.append(b)
+                    break
+        keep[c] = reach[-1] == m
+    return keep
 
 
 def _blocks(codes: list) -> tuple[Block, ...]:
@@ -222,23 +295,25 @@ def _blocks(codes: list) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
+def _codes(seq: Sequence) -> np.ndarray:
+    """A string by code point; any other sequence is taken as integer codes."""
+    return code_points(seq) if isinstance(seq, str) else np.asarray(seq)
+
+
 def _verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
                     params: SearchParams, workspace: VerifierWorkspace | None = None,
                     witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
     """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
 
     The one entry to the verifier: starts are taken CHUNK at a time and each
-    chunk is advanced by one engine run.  Pattern and text are code arrays
-    of one coding (Matcher passes code points) or symbol strings, which are
-    coded here by code point.  blocks is the witness when one is asked for,
-    else None.  params must be normalized for len(pattern).
+    chunk is advanced by one engine run.  Pattern and text are symbol
+    strings, which are coded here by code point, or integer codes of one
+    coding (Matcher passes code-point arrays).  blocks is the witness when
+    one is asked for, else None.  params must be normalized for len(pattern).
     """
     m = len(pattern)
     ws = workspace if workspace is not None else VerifierWorkspace(params.alpha, params.beta)
-    if isinstance(pattern, np.ndarray) and isinstance(text, np.ndarray):
-        p_arr, t_arr = pattern, text
-    else:
-        p_arr, t_arr = code_points(pattern), code_points(text)
+    p_arr, t_arr = _codes(pattern), _codes(text)
     # A signed type that holds every code and the -1 padding.
     dtype = np.promote_types(np.promote_types(p_arr.dtype, t_arr.dtype), np.int16)
     p_rev = np.full(m + ws.alpha, -1, dtype=dtype)
@@ -264,7 +339,7 @@ def verify(pattern: Sequence, text: Sequence, s: int,
            workspace: VerifierWorkspace | None = None) -> bool:
     """True iff the pattern matches t[s..s+m-1] under the given bounds.
 
-    Accepts symbol strings or pre-encoded code arrays.  A workspace built
+    Accepts symbol strings or integer code sequences.  A workspace built
     for the same normalized (alpha, beta) may be supplied for reuse.
     """
     params = _check_call(pattern, text, s, params)

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import SearchParams, apply_blocks, code_points
-from mdmatch.counting import advance, init_counts, scan_candidates
+from mdmatch.counting import advance, fingerprint_prefix, init_counts, scan_candidates
 from mdmatch.ingest import extract_patterns, gen_random_text
 from mdmatch.oracle import md_distance, naive_search, oracle_match, permutation_probability
 from mdmatch.search import Matcher, filtered_search, scan_all_search
@@ -106,9 +106,10 @@ def test_criterion_03_search_equivalence():
 def _mean_candidate_density(n, sigma, m, count, text_seed, pattern_seed):
     text = gen_random_text(n, sigma, text_seed)
     t_arr = code_points(text)
+    prefix = fingerprint_prefix(t_arr)
     densities = []
     for p in extract_patterns(text, m, count, pattern_seed):
-        cands = scan_candidates(code_points(p), t_arr)
+        cands = scan_candidates(code_points(p), t_arr, prefix)
         densities.append(len(cands) / (n - m + 1))
     return float(np.mean(densities))
 

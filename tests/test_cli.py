@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from conftest import random_block_decomposition
 from mdmatch.cli import main
 from mdmatch.core import apply_blocks, Block, IDENTITY, INVERSION, TRANSLOCATION
 from mdmatch.ingest import gen_random_text
+from mdmatch.oracle import naive_search
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +104,39 @@ class TestSearch:
             main(["search", "-p", "ab", "--threads", "2", str(text)])
         assert exc.value.code == 2
 
+    def test_raw_pattern_with_high_bytes(self, tmp_path, capsys):
+        # argv holds bytes >= 0x80 as the file-system decoding gives them.
+        text, pats = tmp_path / "t.bin", tmp_path / "p.bin"
+        text.write_bytes(b"\x80\x90\x80\x90AB")
+        pats.write_bytes(b"\x80\x90\n")
+        code, inline, _ = run_cli(capsys, "search", "--raw", "-p", os.fsdecode(b"\x80\x90"),
+                                  str(text))
+        assert code == 0
+        assert [line.split("\t")[2] for line in inline.splitlines()] == ["0", "1", "2"]
+        _, from_file, _ = run_cli(capsys, "search", "--raw", "--pattern-file", str(pats),
+                                  str(text))
+        assert inline == from_file
+
+    def test_exact_windows_witnessed(self, tmp_path, capsys):
+        # A periodic text: every fourth window is an exact copy, witnessed by
+        # identity alone; the rotations between are decided by the DP.
+        data = "ACGT" * 100
+        text = tmp_path / "t.txt"
+        text.write_text(data)
+        code, out, _ = run_cli(capsys, "search", "-p", "ACGT", "--witness", str(text))
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert [int(r[2]) for r in rows] == [o.position for o in naive_search("ACGT", data)]
+        kinds = {"I": IDENTITY, "T": TRANSLOCATION, "V": INVERSION}
+        for r in rows:
+            s = int(r[2])
+            assert (r[3] == "I@0 I@1 I@2 I@3") == (s % 4 == 0)
+            blocks = []
+            for token in r[3].split(" "):
+                head, _, klen = token.partition(":")
+                blocks.append(Block(kinds[head[0]], int(head[2:]), int(klen) if klen else 1))
+            assert apply_blocks("ACGT", blocks) == data[s:s + 4]
+
     def test_case_folded_against_fasta(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
         text.write_text(">r\nACGT\n")
@@ -194,6 +229,12 @@ class TestBench:
             main(["bench", "--random", "10", "4", "1", *argv])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_usage_line_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--random", "100", "4", "1", "-m", "8", "--alpha", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: mdmatch bench")
 
     def test_bad_length_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,21 @@
+import importlib
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import apply_blocks, code_points
-from mdmatch.counting import advance, init_counts, rolling_deltas, scan_candidates
+from mdmatch.counting import (
+    advance,
+    fingerprint_prefix,
+    init_counts,
+    rolling_deltas,
+    scan_candidates,
+)
 
 
 def codes(s):
@@ -81,8 +90,8 @@ class TestScanCandidates:
         assert scan_candidates(codes("a"), codes("aba")).tolist() == [0, 2]
 
     def test_dense_and_sparse_candidates(self):
-        # Dense: every window survives every count pass.  Sparse: few windows
-        # are left after the first pass, and sorting them rejects s = 7.
+        # Dense: all 9 windows are hits, confirmed n // m = 5 at a time.
+        # Sparse: two windows among eleven.
         assert scan_candidates([0, 0], [0] * 10).tolist() == list(range(9))
         t = [1, 0, 1, 2, 2, 2, 2, 2, 1, 1, 0]
         assert scan_candidates([0, 1, 1], t).tolist() == [0, 8]
@@ -151,3 +160,84 @@ class TestScanCandidates:
                 p = [rng.choice(pool) for _ in range(m)]
             got = scan_candidates(np.array(p, dtype=np.int32), t).tolist()
             assert got == [s for s, d in rolling_deltas(p, t) if d == 0]
+
+
+def _rolling_candidates(p, t):
+    return [s for s, d in rolling_deltas(p, t) if d == 0]
+
+
+class TestFingerprint:
+    def test_prefix_wraps_and_ignores_order(self):
+        # Weights are spread over 64 bits, so the sums wrap at once; window
+        # fingerprints still depend only on the window's histogram.
+        prefix = fingerprint_prefix([5, 9, 5, 9, 9, 5])
+        assert prefix.dtype == np.uint64 and len(prefix) == 7 and prefix[0] == 0
+        weights = [int(w) for w in np.diff(prefix)]
+        assert sum(weights) > 2**64 and int(prefix[6]) == sum(weights) % 2**64
+        pairs, triples = prefix[2:] - prefix[:-2], prefix[3:] - prefix[:-3]
+        assert pairs[0] == pairs[2] == pairs[4] != pairs[3]
+        assert triples[0] != triples[1]
+
+    def test_given_prefix_is_used(self):
+        t = [0, 1, 1, 0, 2, 1, 0]
+        prefix = fingerprint_prefix(t)
+        assert scan_candidates([1, 0], t, prefix).tolist() == scan_candidates([1, 0], t).tolist()
+
+    def test_forced_collisions_are_rejected(self, monkeypatch):
+        # Every weight equal: every window has the pattern's fingerprint, so
+        # only the exact confirmation decides.
+        counting = importlib.import_module("mdmatch.counting")
+        monkeypatch.setattr(counting, "_weights",
+                            lambda codes: np.ones(len(codes), dtype=np.uint64))
+        rng = random.Random(23)
+        for _ in range(200):
+            sigma = rng.choice([2, 3, 5])
+            m = rng.randint(1, 10)
+            n = rng.randint(m, 150)
+            t = [rng.randrange(sigma) for _ in range(n)]
+            p = [rng.randrange(sigma) for _ in range(m)]
+            assert scan_candidates(p, t).tolist() == _rolling_candidates(p, t)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_slice_boundaries(self, monkeypatch, size):
+        # Weights and window compares are done a slice at a time; small
+        # slices put many boundaries inside short texts.
+        counting = importlib.import_module("mdmatch.counting")
+        rng = random.Random(29)
+        cases = []
+        for _ in range(60):
+            m = rng.randint(1, 9)
+            t = [rng.randrange(3) for _ in range(rng.randint(m, 40))]
+            cases.append(([rng.randrange(3) for _ in range(m)], t))
+        whole = [fingerprint_prefix(t) for _, t in cases]
+        monkeypatch.setattr(counting, "_SLICE", size)
+        for (p, t), prefix in zip(cases, whole):
+            assert (fingerprint_prefix(t) == prefix).all()
+            assert scan_candidates(p, t).tolist() == _rolling_candidates(p, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_against_rolling_deltas(self, data):
+        # Codes up to U+10FFFF, and m at or near n half of the time.
+        pool = data.draw(st.lists(st.integers(0, 0x10FFFF), min_size=1, max_size=5,
+                                  unique=True))
+        t = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+        n = len(t)
+        m = data.draw(st.integers(max(1, n - 2), n) | st.integers(1, n))
+        s = data.draw(st.integers(0, n - m))
+        p = data.draw(st.permutations(t[s:s + m])
+                      | st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        got = scan_candidates(np.array(p, dtype=np.int32), np.array(t, dtype=np.int32))
+        assert got.tolist() == _rolling_candidates(p, t)
+
+    def test_memory_bounded_when_every_window_hits(self):
+        t = code_points("A" * 200_000)
+        p = code_points("A" * 512)
+        tracemalloc.start()
+        try:
+            got = scan_candidates(p, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == len(t) - len(p) + 1
+        assert peak < 64 * len(t)

@@ -1,6 +1,7 @@
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 from conftest import rand_string, random_block_decomposition
@@ -275,3 +276,90 @@ class TestChunks:
                 assert search_stats(p, text, params).candidates > CHUNK
                 assert positions(filtered_search(p, text, params)) == ref
                 assert positions(scan_all_search(p, text, params)) == ref
+
+
+class TestFingerprintFilter:
+    def test_forced_collisions_keep_output_exact(self, monkeypatch):
+        # Every weight equal: every window is a fingerprint hit, so the
+        # filter's exact confirmation alone keeps find equal to the oracle.
+        counting = importlib.import_module("mdmatch.counting")
+        monkeypatch.setattr(counting, "_weights",
+                            lambda codes: np.ones(len(codes), dtype=np.uint64))
+        rng = random.Random(1401)
+        for _ in range(150):
+            sigma = rng.choice([2, 3])
+            m = rng.randint(1, 8)
+            n = rng.randint(m, 60)
+            t = rand_string(rng, sigma, n)
+            p = rand_string(rng, sigma, m)
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            matcher = Matcher(t)
+            assert positions(matcher.find(p, params)) == positions(naive_search(p, t, params))
+
+
+class TestExactWindows:
+    """Windows equal to the pattern are decided before the DP."""
+
+    @staticmethod
+    def check(p, text, params):
+        matcher = Matcher(text)
+        ref = positions(naive_search(p, text, params))
+        witnessed = matcher.find(p, params, with_witness=True)
+        assert positions(matcher.find(p, params)) == positions(witnessed) == ref
+        for occ in witnessed:
+            window = text[occ.position:occ.position + len(p)]
+            assert apply_blocks(p, occ.witness) == window
+            assert occ.witness == verify_with_witness(p, text, occ.position, params)
+            if window == p:
+                assert all(b.kind == "identity" for b in occ.witness)
+        return ref
+
+    def test_every_window_exact(self):
+        text = "a" * (3 * CHUNK + 5)
+        for m in (1, 7, 40):
+            for params in (maximal_params(m), SearchParams(0, 0)):
+                assert self.check("a" * m, text, params) == list(range(len(text) - m + 1))
+
+    def test_some_windows_exact(self):
+        # Exact and rearranged copies of one pattern share each chunk with
+        # the other candidates of a binary text.
+        rng = random.Random(1402)
+        for _ in range(8):
+            m = rng.randint(2, 24)
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            p = rand_string(rng, 2, m)
+            parts = []
+            for _ in range(CHUNK + 1):
+                parts.append(rand_string(rng, 2, rng.randint(0, m)))
+                parts.append(p if rng.random() < 0.5 else apply_blocks(
+                    p, random_block_decomposition(rng, m, params.alpha, params.beta)))
+            text = "".join(parts)
+            assert Matcher(text).stats(p, params).candidates > CHUNK
+            assert len(self.check(p, text, params)) > CHUNK
+
+    def test_periodic_text(self):
+        # "ab" repeated: exact windows at even starts, translocated ones at
+        # odd starts, alternating within each chunk.
+        text = "ab" * (2 * CHUNK)
+        assert self.check("ab", text, SearchParams(1, 0)) == list(range(len(text) - 1))
+        assert self.check("ab", text, SearchParams(0, 0)) == list(range(0, len(text) - 1, 2))
+
+
+class TestCutTest:
+    """A few rearranged candidates of a long pattern go through the cut test
+    before the DP; planted matches and plain permutations share a text."""
+
+    def test_planted_and_permuted_copies(self):
+        rng = random.Random(4242)
+        for m in (24, 64, 128):
+            params = maximal_params(m)
+            p = rand_string(rng, 8, m)
+            parts = []
+            for _ in range(3):
+                parts.append(rand_string(rng, 8, rng.randint(0, m)))
+                parts.append(apply_blocks(
+                    p, random_block_decomposition(rng, m, params.alpha, params.beta)))
+                parts.append(rand_string(rng, 8, 2))
+                parts.append("".join(rng.sample(p, m)))
+            text = "".join(parts)
+            assert len(TestExactWindows.check(p, text, params)) >= 3

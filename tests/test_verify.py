@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from mdmatch.core import (
     TRANSLOCATION,
     SearchParams,
     apply_blocks,
+    code_points,
 )
 from mdmatch.oracle import oracle_match
 from mdmatch.verify import (
@@ -17,6 +19,9 @@ from mdmatch.verify import (
     verify,
     verify_with_witness,
 )
+
+# The module itself: the package exports a function of the same name.
+verify_module = importlib.import_module("mdmatch.verify")
 
 
 class TestVerifyExamples:
@@ -114,6 +119,20 @@ class TestVerifyProperties:
             for beta in (0, 1):
                 assert verify(p, w, 0, SearchParams(0, beta)) == (p == w)
 
+    def test_code_lists_agree_with_strings(self):
+        rng = random.Random(9)
+        assert verify([0, 1], [1, 0], 0)
+        for _ in range(300):
+            m = rng.randint(1, 8)
+            p = rand_string(rng, 3, m)
+            t = rand_string(rng, 3, m + rng.randint(0, 4))
+            s = rng.randint(0, len(t) - m)
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            p_list, t_list = [ord(c) for c in p], [ord(c) for c in t]
+            assert verify(p_list, t_list, s, params) == verify(p, t, s, params)
+            assert (verify_with_witness(p_list, t_list, s, params)
+                    == verify_with_witness(p, t, s, params))
+
     def test_workspace_reuse(self):
         ws = VerifierWorkspace(2, 4)
         assert verify("abcd", "cdab", 0, SearchParams(2, 4), ws)
@@ -181,3 +200,72 @@ class TestWitness:
                     elif b.kind != IDENTITY:
                         assert 2 <= b.length <= params.beta
         assert positives > 100  # the sample actually exercised the positive path
+
+
+def cut_test(p: str, windows: list[str], alpha: int, beta: int) -> list[bool]:
+    """verify._cuttable on windows given as strings, one column each."""
+    cols = np.stack([code_points(w) for w in windows], axis=1)
+    return verify_module._cuttable(code_points(p)[::-1], cols[::-1], alpha, beta).tolist()
+
+
+class TestCutTest:
+    def test_decides_like_enumeration(self):
+        # Within CUT_TEST_MAX cuts the test is the match condition itself.
+        rng = random.Random(2718)
+        positives = 0
+        for _ in range(1500):
+            sigma = rng.choice([2, 3, 4, 8])
+            m = rng.randint(1, 40)
+            alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
+            p = rand_string(rng, sigma, m)
+            r = rng.random()
+            if r < 0.4:
+                w = apply_blocks(p, random_block_decomposition(rng, m, m // 2, m))
+            elif r < 0.8:
+                w = "".join(rng.sample(p, m))
+            else:
+                w = rand_string(rng, sigma, m)
+            want = enum_match(p, w, alpha, beta)
+            positives += want
+            assert cut_test(p, [w], alpha, beta) == [want]
+        assert positives > 200
+
+    def test_colliding_weights_keep_every_match(self, monkeypatch):
+        # Equal weights make every prefix a cut: the test loses strength,
+        # never a match.
+        monkeypatch.setattr(verify_module, "_weights",
+                            lambda codes: np.zeros(np.shape(codes), dtype=np.uint64))
+        rng = random.Random(11)
+        for _ in range(400):
+            m = rng.randint(1, 24)
+            alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
+            p = rand_string(rng, 3, m)
+            w = (apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
+                 if rng.random() < 0.5 else rand_string(rng, 3, m))
+            want = enum_match(p, w, alpha, beta)
+            assert cut_test(p, [w], alpha, beta) == [want]
+            assert verify(p, w, 0, SearchParams(alpha, beta)) == want
+
+    def test_windows_past_the_cut_limit_are_kept(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "CUT_TEST_MAX", 2)
+        # "abcde" against "abdec": cuts at 1, 2 and 5, no block chain.
+        assert not enum_match("abcde", "abdec", 2, 5)
+        assert cut_test("abcde", ["abdec"], 2, 5) == [True]
+        monkeypatch.setattr(verify_module, "CUT_TEST_MAX", 3)
+        assert cut_test("abcde", ["abdec"], 2, 5) == [False]
+
+    def test_shifted_copy_of_a_long_pattern(self, monkeypatch):
+        # The window one to the right of the pattern's own occurrence is a
+        # permutation of it when the symbol leaving equals the one entering;
+        # it is a rotation, which no block chain gives.
+        rng = random.Random(64)
+        m = 128
+        text = rand_string(rng, 8, 3 * m)
+        text = text[:m] + text[0] + text[m + 1:]
+        p, w = text[:m], text[1:m + 1]
+        assert sorted(p) == sorted(w) and p != w
+        params = SearchParams(m // 2, m)
+        assert cut_test(p, [p, w], m // 2, m) == [True, False]
+        assert not verify(p, text, 1, params)
+        monkeypatch.setattr(verify_module, "CUT_TEST_ROWS", m)
+        assert not verify(p, text, 1, params)  # the DP alone agrees
