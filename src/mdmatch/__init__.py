@@ -1,7 +1,12 @@
 """Approximate string matching under translocations of equal-length adjacent
 factors and inversions of factors, with a counting filter (permutation test)
 and a banded dynamic-programming verifier.  Symbols are coded by their
-Unicode code points (core.code_points) from text to verifier."""
+Unicode code points (core.code_points) from text to verifier.
+
+Matcher (search.py) is the one search path: its filter is
+search.scan_candidates and its verifier is verify.verify_windows.  The
+slow references it is tested against, the paper's rolling filter
+(rolling_deltas) included, live in oracle.py."""
 
 from .core import (
     Block,
@@ -15,24 +20,21 @@ from .core import (
     maximal_params,
     normalize_params,
 )
-from .counting import CountState, advance, init_counts, rolling_deltas, scan_candidates
 from .ingest import SequenceRecord, extract_patterns, gen_random_text, read_fasta
-from .oracle import md_distance, naive_search, oracle_match, permutation_probability
-from .search import (
-    Matcher,
-    SearchStats,
-    filtered_search,
-    iter_filtered_search,
-    scan_all_search,
-    search_stats,
+from .oracle import (
+    md_distance,
+    naive_search,
+    oracle_match,
+    permutation_probability,
+    rolling_deltas,
 )
+from .search import Matcher, SearchStats, filtered_search
 from .verify import VerifierWorkspace, verify, verify_with_witness
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "CountState",
     "IDENTITY",
     "INVERSION",
     "Matcher",
@@ -42,14 +44,11 @@ __all__ = [
     "SequenceRecord",
     "TRANSLOCATION",
     "VerifierWorkspace",
-    "advance",
     "apply_blocks",
     "code_points",
     "extract_patterns",
     "filtered_search",
     "gen_random_text",
-    "init_counts",
-    "iter_filtered_search",
     "maximal_params",
     "md_distance",
     "naive_search",
@@ -58,9 +57,6 @@ __all__ = [
     "permutation_probability",
     "read_fasta",
     "rolling_deltas",
-    "scan_all_search",
-    "scan_candidates",
-    "search_stats",
     "verify",
     "verify_with_witness",
 ]

@@ -67,6 +67,28 @@ def code_points(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
 
 
+# splitmix64 constants (Steele, Lea and Flood 2014).
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def symbol_weights(codes: Sequence[int]) -> np.ndarray:
+    """The splitmix64 mix of each code, as uint64: one 64-bit weight per symbol.
+
+    The filter's window fingerprints and the verifier's cut test both sum
+    these weights, so a multiset of symbols has one weight sum everywhere.
+    """
+    z = np.asarray(codes).astype(np.uint64)
+    z += _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 @dataclass(frozen=True)
 class Block:
     """One step of a witness decomposition.

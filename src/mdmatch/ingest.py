@@ -49,25 +49,23 @@ def _check_printable(chunk: bytes, base_offset: int) -> None:
                 f"non-printable byte 0x{byte:02x} at offset {base_offset + idx}")
 
 
-def read_fasta(source, raw: bool = False,
-               strip_trailing_newline: bool = True) -> list[SequenceRecord]:
+def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     """Parse FASTA or headerless text into sequence records.
 
     Default mode accepts '>'-headed FASTA (one record per header, sequence
     lines concatenated, whitespace dropped, symbols upper-cased) and treats
-    headerless input as a single anonymous record.  raw=True returns the
-    bytes verbatim as one record, except for one trailing newline removed
-    when strip_trailing_newline is set.
+    sequence lines before the first header as a single anonymous record;
+    blank lines there open no record.  raw=True returns the bytes verbatim
+    as one record, except for one trailing newline removed.
     """
     data = _read_bytes(source)
     if raw:
         if not data:
             raise ValueError("no sequences")
-        if strip_trailing_newline:
-            if data.endswith(b"\r\n"):
-                data = data[:-2]
-            elif data.endswith(b"\n"):
-                data = data[:-1]
+        if data.endswith(b"\r\n"):
+            data = data[:-2]
+        elif data.endswith(b"\n"):
+            data = data[:-1]
         return [SequenceRecord("", data.decode("latin-1"))]
     if not data.strip():
         raise ValueError("no sequences")
@@ -87,10 +85,10 @@ def read_fasta(source, raw: bool = False,
             chunks = []
         else:
             _check_printable(line, offset)
-            if cur_id is None:
-                cur_id = ""
             cleaned = line.translate(None, delete=_WHITESPACE)
             if cleaned:
+                if cur_id is None:
+                    cur_id = ""
                 chunks.append(cleaned.upper())
         offset += len(line)
     flush()

@@ -5,14 +5,26 @@ production filter and verifier: substrings are compared by direct slicing,
 prefix feasibility is a plain forward DP with explicit factor-length loops,
 and no state is shared with the fast path.  These functions are the ground
 truth the fast path is tested against.
+
+The paper's counting filter is kept here too, as the reference for
+search.scan_candidates.  Its rolling update keeps, per symbol code c, the
+signed count g[c] = occ_pattern(c) - occ_window(c) and the scalar
+delta = sum_c |g[c]|.  delta is zero exactly when the current window is a
+permutation of the pattern, which is a necessary condition for a match
+under translocations and inversions.  Shifting the window by one position
+updates delta in constant time.  CountState, init_counts, advance and
+rolling_deltas implement it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .core import Occurrence, SearchParams, maximal_params, normalize_params
 
@@ -132,3 +144,75 @@ def permutation_probability(occ: Mapping | Iterable[int], m: int, sigma: int) ->
     for c in counts:
         log_p -= math.lgamma(c + 1)
     return math.exp(log_p)
+
+
+@dataclass
+class CountState:
+    """Signed per-code histogram g and its absolute sum delta for one window."""
+
+    g: list[int]
+    delta: int
+    window_start: int
+
+    def recompute_delta(self) -> int:
+        """delta from scratch; used to cross-check the rolling update."""
+        return sum(abs(v) for v in self.g)
+
+
+def _as_code_list(seq) -> list[int]:
+    if isinstance(seq, np.ndarray):
+        return seq.tolist()
+    return list(seq)
+
+
+def init_counts(pattern: Sequence[int], text: Sequence[int], sigma: int | None = None) -> CountState:
+    """Histogram state for the window starting at text position 0."""
+    m = len(pattern)
+    if m == 0:
+        raise ValueError("empty pattern")
+    if m > len(text):
+        raise ValueError("pattern longer than text")
+    p = _as_code_list(pattern)
+    t = _as_code_list(text[:m])
+    if sigma is None:
+        sigma = max(max(p), max(t)) + 1
+    g = [0] * sigma
+    for c in p:
+        g[c] += 1
+    for c in t:
+        g[c] -= 1
+    return CountState(g=g, delta=sum(abs(v) for v in g), window_start=0)
+
+
+def advance(state: CountState, outgoing: int, incoming: int) -> CountState:
+    """Shift the window one position right: outgoing = t[s], incoming = t[s+m].
+
+    Constant-time update of g and delta, in place.  When outgoing equals
+    incoming nothing changes.
+    """
+    g = state.g
+    state.delta -= abs(g[outgoing]) + abs(g[incoming])
+    g[outgoing] += 1
+    g[incoming] -= 1
+    state.delta += abs(g[outgoing]) + abs(g[incoming])
+    state.window_start += 1
+    return state
+
+
+def rolling_deltas(pattern: Sequence[int], text: Sequence[int],
+                   sigma: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (position, delta) for every window, via the rolling update."""
+    m, n = len(pattern), len(text)
+    if m == 0:
+        raise ValueError("empty pattern")
+    if m > n:
+        return
+    t = _as_code_list(text)
+    if sigma is None:
+        # The first window alone may miss the text's largest code.
+        sigma = max(max(_as_code_list(pattern)), max(t)) + 1
+    state = init_counts(pattern, t, sigma)
+    yield 0, state.delta
+    for s in range(n - m):
+        advance(state, t[s], t[s + m])
+        yield s + 1, state.delta

@@ -39,7 +39,7 @@ max(2*alpha, beta) rows can never match and is dropped from the chunk.  The
 translocation and inversion tests are skipped on rows where every live
 window extends by identity.  Back-pointers are recorded only when a witness
 is asked for.  Every caller, Matcher included, reaches the engine through
-_verify_windows.
+verify_windows.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .core import (
     code_points,
     maximal_params,
     normalize_params,
+    symbol_weights,
 )
-from .counting import _weights
 
 # Candidate windows advanced together, one numpy call per band and row.
 CHUNK = 128
@@ -241,7 +241,8 @@ def _cuttable(p_rev: np.ndarray, w_rev: np.ndarray, alpha: int, beta: int) -> np
     m = len(p_rev)
     size = p_rev.itemsize
     p = p_rev[::-1]
-    cuts = np.cumsum(_weights(w_rev[::-1]), axis=0) == np.cumsum(_weights(p))[:, None]
+    cuts = (np.cumsum(symbol_weights(w_rev[::-1]), axis=0)
+            == np.cumsum(symbol_weights(p))[:, None])
     pb, prb = p.tobytes(), p_rev.tobytes()
     longest = max(2 * alpha, beta, 1)
     keep = cuts[-1].copy()
@@ -300,9 +301,9 @@ def _codes(seq: Sequence) -> np.ndarray:
     return code_points(seq) if isinstance(seq, str) else np.asarray(seq)
 
 
-def _verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
-                    params: SearchParams, workspace: VerifierWorkspace | None = None,
-                    witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
+def verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
+                   params: SearchParams, workspace: VerifierWorkspace | None = None,
+                   witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
     """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
 
     The one entry to the verifier: starts are taken CHUNK at a time and each
@@ -345,7 +346,7 @@ def verify(pattern: Sequence, text: Sequence, s: int,
     params = _check_call(pattern, text, s, params)
     if workspace is not None and (workspace.alpha, workspace.beta) != (params.alpha, params.beta):
         raise ValueError("workspace built for different parameters")
-    return next(_verify_windows(pattern, text, (s,), params, workspace), None) is not None
+    return next(verify_windows(pattern, text, (s,), params, workspace), None) is not None
 
 
 def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
@@ -356,6 +357,6 @@ def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
     the shortest inversion, so output is deterministic.
     """
     params = _check_call(pattern, text, s, params)
-    for _, blocks in _verify_windows(pattern, text, (s,), params, witness=True):
+    for _, blocks in verify_windows(pattern, text, (s,), params, witness=True):
         return blocks
     return None

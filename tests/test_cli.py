@@ -174,6 +174,14 @@ class TestDensity:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[1] == "4"
 
+    def test_blank_line_before_first_header(self, tmp_path, capsys):
+        text = tmp_path / "t.fa"
+        text.write_text("\n>r\n" + "ACGT" * 200 + "\n")
+        code, out, err = run_cli(capsys, "density", "--text-file", str(text),
+                                 "-m", "4", "--count", "5")
+        assert code == 0 and "note:" not in err
+        assert out.strip().splitlines()[1].split(",")[:3] == ["4", "4", "5"]
+
     def test_zero_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["density", "--random", "100", "4", "0", "-m", "4", "--count", "0"])

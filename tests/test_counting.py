@@ -9,13 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import apply_blocks, code_points
-from mdmatch.counting import (
-    advance,
-    fingerprint_prefix,
-    init_counts,
-    rolling_deltas,
-    scan_candidates,
-)
+from mdmatch.oracle import advance, init_counts, rolling_deltas
+from mdmatch.search import fingerprint_prefix, scan_candidates
 
 
 def codes(s):
@@ -186,8 +181,8 @@ class TestFingerprint:
     def test_forced_collisions_are_rejected(self, monkeypatch):
         # Every weight equal: every window has the pattern's fingerprint, so
         # only the exact confirmation decides.
-        counting = importlib.import_module("mdmatch.counting")
-        monkeypatch.setattr(counting, "_weights",
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(23)
         for _ in range(200):
@@ -202,7 +197,7 @@ class TestFingerprint:
     def test_slice_boundaries(self, monkeypatch, size):
         # Weights and window compares are done a slice at a time; small
         # slices put many boundaries inside short texts.
-        counting = importlib.import_module("mdmatch.counting")
+        search = importlib.import_module("mdmatch.search")
         rng = random.Random(29)
         cases = []
         for _ in range(60):
@@ -210,7 +205,7 @@ class TestFingerprint:
             t = [rng.randrange(3) for _ in range(rng.randint(m, 40))]
             cases.append(([rng.randrange(3) for _ in range(m)], t))
         whole = [fingerprint_prefix(t) for _, t in cases]
-        monkeypatch.setattr(counting, "_SLICE", size)
+        monkeypatch.setattr(search, "_SLICE", size)
         for (p, t), prefix in zip(cases, whole):
             assert (fingerprint_prefix(t) == prefix).all()
             assert scan_candidates(p, t).tolist() == _rolling_candidates(p, t)

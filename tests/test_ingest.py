@@ -49,8 +49,16 @@ class TestReadFasta:
     def test_raw_mode_verbatim(self):
         recs = read_fasta(b"ab\ncd\n", raw=True)
         assert recs == [SequenceRecord("", "ab\ncd")]
-        recs = read_fasta(b"ab\ncd\n", raw=True, strip_trailing_newline=False)
-        assert recs[0].data == "ab\ncd\n"
+
+    def test_blank_lines_before_first_header_open_no_record(self):
+        assert read_fasta(b"\n>a\nAC\n") == [SequenceRecord("a", "AC")]
+        assert read_fasta(b"\r\n \n>a\nAC\n") == [SequenceRecord("a", "AC")]
+        # Sequence before the first header still makes the anonymous record.
+        assert read_fasta(b"\nac\n>a\nG\n") == [SequenceRecord("", "AC"),
+                                                   SequenceRecord("a", "G")]
+
+    def test_header_with_only_blank_lines_is_an_empty_record(self):
+        assert read_fasta(b">a\n\n \r\n") == [SequenceRecord("a", "")]
 
     def test_round_trip_with_writer(self):
         records = [SequenceRecord("first", "ACGT" * 40), SequenceRecord("second", "TTAA")]

@@ -6,16 +6,8 @@ import pytest
 
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import SearchParams, apply_blocks, code_points, maximal_params
-from mdmatch.counting import scan_candidates
 from mdmatch.oracle import naive_search
-from mdmatch.search import (
-    Matcher,
-    SearchStats,
-    filtered_search,
-    iter_filtered_search,
-    scan_all_search,
-    search_stats,
-)
+from mdmatch.search import Matcher, SearchStats, filtered_search, scan_candidates
 from mdmatch.verify import CHUNK, verify_with_witness
 
 
@@ -48,7 +40,7 @@ class TestFilteredSearch:
 
     def test_iterator_matches_list(self):
         text = "abbaabab"
-        got = positions(iter_filtered_search("ab", text, SearchParams(1, 0)))
+        got = positions(Matcher(text).iter_find("ab", SearchParams(1, 0)))
         assert got == positions(filtered_search("ab", text, SearchParams(1, 0)))
 
 
@@ -68,23 +60,23 @@ class TestEquivalence:
             params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
             expected = positions(naive_search(p, t, params))
             assert positions(filtered_search(p, t, params)) == expected
-            assert positions(scan_all_search(p, t, params)) == expected
+            assert positions(Matcher(t).scan_all(p, params)) == expected
 
 
 class TestStats:
     def test_abba(self):
-        stats = search_stats("ab", "abba", SearchParams(1, 0))
+        stats = Matcher("abba").stats("ab", SearchParams(1, 0))
         assert stats.candidates == 2
         assert stats.matches == 2
         assert stats.positions_scanned == 3
 
     def test_no_candidates(self):
-        stats = search_stats("ab", "aaaa")
+        stats = Matcher("aaaa").stats("ab")
         assert stats.candidates == 0 and stats.matches == 0
         assert stats.candidate_density == 0.0
 
     def test_self_match(self):
-        stats = search_stats("abca", "abca")
+        stats = Matcher("abca").stats("abca")
         assert stats.candidates == 1 and stats.positions_scanned == 1
 
     def test_ordering_invariant(self):
@@ -95,7 +87,7 @@ class TestStats:
             n = rng.randint(m, 80)
             t = rand_string(rng, sigma, n)
             p = rand_string(rng, sigma, m)
-            stats = search_stats(p, t)
+            stats = Matcher(t).stats(p)
             assert stats.matches <= stats.candidates <= stats.positions_scanned
 
     def test_filter_effective_on_random_text(self):
@@ -269,21 +261,22 @@ class TestChunks:
     def test_more_candidates_than_a_chunk(self):
         rng = random.Random(1301)
         text = rand_string(rng, 2, 8 * CHUNK)
+        matcher = Matcher(text)
         for m in (4, 9):
             p = text[17:17 + m]
             for params in (maximal_params(m), SearchParams(1, 2)):
                 ref = positions(naive_search(p, text, params))
-                assert search_stats(p, text, params).candidates > CHUNK
-                assert positions(filtered_search(p, text, params)) == ref
-                assert positions(scan_all_search(p, text, params)) == ref
+                assert matcher.stats(p, params).candidates > CHUNK
+                assert positions(matcher.find(p, params)) == ref
+                assert positions(matcher.scan_all(p, params)) == ref
 
 
 class TestFingerprintFilter:
     def test_forced_collisions_keep_output_exact(self, monkeypatch):
         # Every weight equal: every window is a fingerprint hit, so the
         # filter's exact confirmation alone keeps find equal to the oracle.
-        counting = importlib.import_module("mdmatch.counting")
-        monkeypatch.setattr(counting, "_weights",
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(1401)
         for _ in range(150):

@@ -233,7 +233,7 @@ class TestCutTest:
     def test_colliding_weights_keep_every_match(self, monkeypatch):
         # Equal weights make every prefix a cut: the test loses strength,
         # never a match.
-        monkeypatch.setattr(verify_module, "_weights",
+        monkeypatch.setattr(verify_module, "symbol_weights",
                             lambda codes: np.zeros(np.shape(codes), dtype=np.uint64))
         rng = random.Random(11)
         for _ in range(400):
