@@ -1,9 +1,10 @@
 """Data acquisition for experiments: FASTA and raw-text readers, seeded
-uniform random text generation, and pattern extraction."""
+uniform random text generation, and pattern extraction.  The FASTA reader
+splits its input into records on header lines, the lines that start with
+'>', and does a fixed number of bytes operations per record."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ _PRINTABLE64 = ("ACGT" + "BDEFHIJKLMNOPQRSUVWXYZ" + "0123456789"
 SYMBOL_TABLE = _PRINTABLE64 + "".join(chr(0x100 + k) for k in range(192))
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-_PRINTABLE_BYTES = bytes(range(0x21, 0x7F))
+_SEQUENCE_BYTES = bytes(range(0x21, 0x7F)) + _WHITESPACE
 
 
 @dataclass(frozen=True)
@@ -36,17 +37,6 @@ def _read_bytes(source) -> bytes:
     if isinstance(data, str):
         return data.encode("latin-1")
     return data
-
-
-def _check_printable(chunk: bytes, base_offset: int) -> None:
-    # Fast path: deleting every acceptable byte must leave nothing.
-    leftover = chunk.translate(None, delete=_PRINTABLE_BYTES + _WHITESPACE)
-    if not leftover:
-        return
-    for idx, byte in enumerate(chunk):
-        if byte not in _PRINTABLE_BYTES and byte not in _WHITESPACE:
-            raise ValueError(
-                f"non-printable byte 0x{byte:02x} at offset {base_offset + idx}")
 
 
 def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
@@ -70,30 +60,22 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     if not data.strip():
         raise ValueError("no sequences")
     records: list[SequenceRecord] = []
-    cur_id: str | None = None
-    chunks: list[bytes] = []
-
-    def flush():
-        if cur_id is not None:
-            records.append(SequenceRecord(cur_id, b"".join(chunks).decode("ascii")))
-
-    offset = 0
-    for line in io.BytesIO(data).readlines():
-        if line.startswith(b">"):
-            flush()
-            cur_id = line[1:].strip().decode("latin-1")
-            chunks = []
-        else:
-            _check_printable(line, offset)
-            cleaned = line.translate(None, delete=_WHITESPACE)
-            if cleaned:
-                if cur_id is None:
-                    cur_id = ""
-                chunks.append(cleaned.upper())
-        offset += len(line)
-    flush()
-    if not records:
-        raise ValueError("no sequences")
+    start = 0  # the chunk's offset in b"\n" + data
+    for k, chunk in enumerate((b"\n" + data).split(b"\n>")):
+        # Chunk 0 is the text before the first header; it is empty or starts
+        # with the added b"\n", so its header is empty.  Every later chunk is
+        # one header line, '>' removed, and its sequence lines.
+        header, _, seq = chunk.partition(b"\n")
+        bad = seq.translate(None, delete=_SEQUENCE_BYTES)
+        if bad:
+            # seq starts one byte past the header; data lacks the added b"\n"
+            offset = start + len(header) + seq.index(bad[0])
+            raise ValueError(f"non-printable byte 0x{bad[0]:02x} at offset {offset}")
+        seq = seq.translate(None, delete=_WHITESPACE)
+        if k or seq:
+            records.append(SequenceRecord(header.strip().decode("latin-1"),
+                                          seq.upper().decode("ascii")))
+        start += len(chunk) + 2
     return records
 
 

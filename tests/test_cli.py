@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import random_block_decomposition
-from mdmatch.cli import main
+from mdmatch.cli import build_parser, main
 from mdmatch.core import apply_blocks, Block, IDENTITY, INVERSION, TRANSLOCATION
 from mdmatch.ingest import gen_random_text
 from mdmatch.oracle import naive_search
@@ -143,6 +143,16 @@ class TestSearch:
         code, out, _ = run_cli(capsys, "search", "-p", "acgt", str(text))
         assert code == 0
         assert out == "0\tr\t0\n"
+
+    def test_fasta_pattern_file_with_leading_blank_line(self, tmp_path, capsys):
+        # Read as FASTA, so its one record is pattern 0, not lines ">p", "acgt".
+        text, pats = tmp_path / "t.fa", tmp_path / "p.fa"
+        text.write_bytes(b">r\r\nttacgt\r\n")
+        pats.write_bytes(b"\n>p\nacgt\n")
+        code, out, _ = run_cli(capsys, "search", "--pattern-file", str(pats),
+                               "--alpha", "0", "--beta", "0", str(text))
+        assert code == 0
+        assert out == "0\tr\t2\n"
 
 
 class TestDensity:
@@ -299,6 +309,10 @@ class TestEnvSeed:
         assert "MDMATCH_SEED" in capsys.readouterr().err
         # An explicit flag wins over the environment, malformed or not.
         assert main(["gen", "-n", "10", "--sigma", "4", "--seed", "3", "-o", out]) == 0
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_module_entry_point():

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from conftest import write_fasta
@@ -50,6 +51,15 @@ class TestReadFasta:
         recs = read_fasta(b"ab\ncd\n", raw=True)
         assert recs == [SequenceRecord("", "ab\ncd")]
 
+    def test_every_byte_value_accepted_or_rejected(self):
+        for b in range(256):
+            data = b">x\nac" + bytes([b]) + b"t\n"
+            if b in _BAD_BYTES:
+                with pytest.raises(ValueError, match=f"^non-printable byte 0x{b:02x} at offset 5$"):
+                    read_fasta(data)
+            else:
+                assert read_fasta(data)[0].data.startswith("AC")
+
     def test_blank_lines_before_first_header_open_no_record(self):
         assert read_fasta(b"\n>a\nAC\n") == [SequenceRecord("a", "AC")]
         assert read_fasta(b"\r\n \n>a\nAC\n") == [SequenceRecord("a", "AC")]
@@ -63,6 +73,67 @@ class TestReadFasta:
     def test_round_trip_with_writer(self):
         records = [SequenceRecord("first", "ACGT" * 40), SequenceRecord("second", "TTAA")]
         assert read_fasta(write_fasta(records)) == records
+
+
+# Sequence symbols: mixed case, and never '>', which would start a header.
+_SYMBOLS = "ACGTacgtNnXyz*-.~0"
+_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12).map(str.strip)
+_BLANKS = st.sampled_from([b"", b" ", b"\t", b"  \r", b"\x0b\x0c"])
+_BAD_BYTES = [b for b in range(256) if not 0x21 <= b <= 0x7E and b not in b" \t\r\n\x0b\x0c"]
+
+
+@st.composite
+def fasta_files(draw):
+    """(file bytes, expected records): headed records and an optional
+    headerless leading sequence, wrapped at a random width, with LF or CRLF
+    endings and blank or space-only lines inserted anywhere."""
+    lead = draw(st.text(_SYMBOLS, max_size=40))
+    headed = draw(st.lists(st.tuples(_IDS, st.text(_SYMBOLS, max_size=150)),
+                           min_size=1, max_size=5))
+    width = draw(st.integers(1, 70))
+    lines = []
+    for rid, seq in [(None, lead)] + headed:
+        if rid is not None:
+            lines.append(b">" + rid.encode("ascii"))
+        lines += [seq[i:i + width].encode("ascii") for i in range(0, len(seq), width)]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANKS))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = eol.join(lines) + draw(st.sampled_from([b"", eol]))
+    expected = [SequenceRecord("", lead.upper())] if lead else []
+    expected += [SequenceRecord(rid, seq.upper()) for rid, seq in headed]
+    return data, expected
+
+
+class TestReadFastaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fasta_files())
+    def test_parses_to_generated_records(self, case):
+        data, expected = case
+        assert read_fasta(data) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(fasta_files(), st.sampled_from(_BAD_BYTES), st.data())
+    def test_non_printable_byte_reported_with_offset(self, case, bad, data):
+        text, _ = case
+        # Any offset in a line that is not a header, its end included.
+        offsets, start = [], 0
+        for line in text.split(b"\n"):
+            if not line.startswith(b">"):
+                offsets += range(start, start + len(line) + 1)
+            start += len(line) + 1
+        assume(offsets)
+        at = data.draw(st.sampled_from(offsets))
+        with pytest.raises(ValueError) as exc:
+            read_fasta(text[:at] + bytes([bad]) + text[at:])
+        assert str(exc.value) == f"non-printable byte 0x{bad:02x} at offset {at}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.binary(max_size=60), st.sampled_from([b"", b"\n", b"\r\n", b"\n\n"]))
+           .map(b"".join).filter(bool))
+    def test_raw_returns_latin1_minus_one_trailing_newline(self, data):
+        body = data[:-2] if data.endswith(b"\r\n") else data.removesuffix(b"\n")
+        assert read_fasta(data, raw=True) == [SequenceRecord("", body.decode("latin-1"))]
 
 
 class TestGenRandomText:
