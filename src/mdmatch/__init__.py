@@ -29,7 +29,7 @@ from .oracle import (
     rolling_deltas,
 )
 from .search import Matcher, SearchStats, filtered_search
-from .verify import VerifierWorkspace, verify, verify_with_witness
+from .verify import verify, verify_with_witness
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "SearchStats",
     "SequenceRecord",
     "TRANSLOCATION",
-    "VerifierWorkspace",
     "apply_blocks",
     "code_points",
     "extract_patterns",

@@ -45,7 +45,7 @@ def _load_records(path: str, raw: bool):
         return read_fasta(fh, raw=raw)
 
 
-def _load_patterns(args) -> list[str]:
+def _load_patterns(args, parser) -> list[str]:
     if args.pattern is not None:
         # argv arrives decoded with the file-system encoding; a --raw text is
         # decoded as latin-1, so the pattern's bytes must be too.
@@ -53,6 +53,9 @@ def _load_patterns(args) -> list[str]:
     with open(args.pattern_file, "rb") as fh:
         data = fh.read()
     if data.lstrip().startswith(b">"):
+        if args.raw:
+            # FASTA upper-cases and rejects bytes >= 0x80; raw patterns are verbatim.
+            parser.error("--raw takes a pattern file of one pattern per line, not FASTA")
         return [rec.data for rec in read_fasta(data)]
     return [line.strip().decode("latin-1")
             for line in data.splitlines() if line.strip()]
@@ -74,7 +77,7 @@ def _experiment_text(args, parser) -> tuple[str, int]:
 
 
 def cmd_search(args, parser) -> int:
-    patterns = _load_patterns(args)
+    patterns = _load_patterns(args, parser)
     if not patterns:
         parser.error("no patterns given")
     if not args.raw:
@@ -223,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--witness", action="store_true",
                           help="append the block decomposition of each match")
     p_search.add_argument("--raw", action="store_true",
-                          help="treat the text file as verbatim bytes, not FASTA")
+                          help="treat the text file and a pattern file as verbatim bytes: "
+                               "no FASTA, no upper-casing, one pattern per line")
     p_search.add_argument("text_file", metavar="TEXT", help="text file to search")
     p_search.set_defaults(func=cmd_search, parser=p_search)
 

@@ -32,14 +32,15 @@ pattern's exact copies never pay for the m rows of the DP.  When the DP
 could not drop the other windows for many rows, the cut test (_cuttable)
 decides them first from the cuts where the prefixes of p and w have equal
 multisets; a window that no chain of blocks between such cuts can match,
-like the pattern's occurrence shifted by one, leaves the chunk.  The band
-arrays are shaped (band, windows), so each step of a row is one numpy call
-for the whole chunk.  A window with no S bit among the last
-max(2*alpha, beta) rows can never match and is dropped from the chunk.  The
-translocation and inversion tests are skipped on rows where every live
-window extends by identity.  Back-pointers are recorded only when a witness
-is asked for.  Every caller, Matcher included, reaches the engine through
-verify_windows.
+like the pattern's occurrence shifted by one, leaves the chunk.  The DP
+state is built when the DP first runs on a chunk, for its live windows:
+numpy arrays shaped (rows, windows), so each step of a row is one numpy
+call for the whole chunk.  A window with no S bit among the last
+max(2*alpha, beta) rows can never match and leaves the chunk, and the state
+is built again for the windows left.  The translocation and inversion
+tests are skipped on rows where every live window extends by identity.
+Back-pointers are recorded only when a witness is asked for.  Every caller,
+Matcher included, reaches the engine through verify_windows.
 """
 
 from __future__ import annotations
@@ -70,43 +71,6 @@ CUT_TEST_ROWS = 8
 CUT_TEST_MAX = 64
 
 
-class VerifierWorkspace:
-    """The verifier's band buffers for one chunk of up to CHUNK windows.
-
-    Sized by (alpha, beta) and CHUNK, never by the pattern length; one
-    workspace serves every chunk of a search.  Each buffer is flat and
-    band-major: with n live windows its first rows * n entries form a
-    C-contiguous (rows, n) array, so a band is one 1-D slice.
-    """
-
-    def __init__(self, alpha: int, beta: int):
-        if alpha < 0 or beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        self.alpha = alpha
-        self.beta = beta
-        self.horizon = max(2 * alpha, beta, 1)
-        self.bcap = max(beta - 1, 0)
-        # Band rows: I[i, i + bcap - u] for u = 0..2*bcap, then F[i, i-k] and
-        # F[i-k, i] for k = 1..alpha.  Test rows: the I rows of inversion
-        # lengths 2..beta, then both F bands.
-        bands = 2 * self.bcap + 1 + 2 * alpha
-        tests = self.bcap + 2 * alpha
-        # S rows: the last horizon rows plus room to write before shifting.
-        self.srows = 2 * self.horizon + 32
-        self.eq = np.empty(bands * CHUNK, dtype=bool)
-        self.run = np.empty(bands * CHUNK, dtype=np.int32)
-        self.grown = np.empty(bands * CHUNK, dtype=np.int32)
-        self.S = np.empty(self.srows * CHUNK, dtype=bool)
-        self.hit = np.empty(tests * CHUNK, dtype=bool)
-        self.need = np.empty(tests * CHUNK, dtype=np.int32)
-        k_alpha = np.arange(1, alpha + 1, dtype=np.int32)
-        self.k = np.concatenate((np.arange(2, beta + 1, dtype=np.int32), k_alpha, k_alpha))
-
-    def cells(self) -> int:
-        """Total buffer entries owned by this workspace (space-bound checks)."""
-        return sum(buf.size for buf in vars(self).values() if isinstance(buf, np.ndarray))
-
-
 def _why(ident: np.ndarray, inv: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """Back-pointer codes of one row: 0 for identity, k > 0 for the shortest
     translocation of halves k, -k for the shortest inversion of length k."""
@@ -119,18 +83,35 @@ def _why(ident: np.ndarray, inv: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return code
 
 
+def _dp_state(run: np.ndarray, S: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The DP state of n live windows, every array C-contiguous and (rows, n):
+    run and S as given, the scratch rows eq and grown (all 1) beside run, hit,
+    and k repeated to width n as the length each test row must reach."""
+    n = S.shape[1]
+    return (run, S, np.empty(run.shape, dtype=bool), np.ones_like(run),
+            np.empty((len(k), n), dtype=bool), k[:, None].repeat(n, axis=1))
+
+
 def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.ndarray,
-             m: int, ws: VerifierWorkspace,
+             m: int, params: SearchParams,
              witness: bool) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
     """Run the DP row by row on the windows t_arr[s:s+m] for s in starts.
 
     p_rev is the pattern reversed and padded with alpha entries of -1.
     Yields (s, blocks) for the matching windows in the order of starts.
     """
-    alpha, bcap, horizon, srows = ws.alpha, ws.bcap, ws.horizon, ws.srows
+    alpha, beta = params.alpha, params.beta
+    bcap = max(beta - 1, 0)
+    horizon = max(2 * alpha, beta, 1)
+    # Band rows: I[i, i + bcap - u] for u = 0..2*bcap, then F[i, i-k] and
+    # F[i-k, i] for k = 1..alpha.  Test rows: the I rows of inversion
+    # lengths 2..beta, then both F bands.
     ilen = 2 * bcap + 1
     bands = ilen + 2 * alpha
     tests = bcap + 2 * alpha
+    # S rows: the last horizon rows plus room to write before shifting.
+    srows = 2 * horizon + 32
+    k = np.array([*range(2, beta + 1)] + 2 * [*range(1, alpha + 1)], dtype=np.int32)
     # Row r holds w[m - 1 + bcap - r] of every window and -1 off the window,
     # so the positions j = i + bcap down to i - max(alpha, bcap) that feed
     # row i are one forward block from row m - 1 - i.
@@ -139,88 +120,70 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
     # A window equal to the pattern matches by identity alone, which is also
     # the witness the tie-break gives it, so it skips the DP.  Its column of
     # record stays 0, identity at every row.
-    exact = (block[bcap:bcap + m] == p_rev[:m, None]).all(0)
-    ids = np.flatnonzero(~exact)
+    matched = (block[bcap:bcap + m] == p_rev[:m, None]).all(0)
+    ids = np.flatnonzero(~matched)
     if len(ids) and CUT_TEST_ROWS * len(ids) < min(m, horizon):
         # The DP cannot drop these windows for many rows; the cut test
         # rejects most of those that cannot match in one pass each.
-        ids = ids[_cuttable(p_rev[:m], block[bcap:bcap + m, ids], alpha, ws.beta)]
+        ids = ids[_cuttable(p_rev[:m], block[bcap:bcap + m, ids], alpha, beta)]
     if len(ids) < len(starts):
-        block = block[:, ids]
+        block = block.take(ids, axis=1)
     n = len(ids)
     record = np.zeros((m, len(starts)), dtype=np.int32) if witness else None
-    ws.run[:bands * n] = 0
-    ws.S[:srows * n] = True  # S[-1] is true: the empty prefix matches
-    pos = srows - horizon - 1  # S[i] is row pos, S[i - d] row pos + d
-    rebind = True
+    # S[-1] is true: the empty prefix matches.  S[i] is row pos, S[i - d]
+    # row pos + d.
+    run, S = np.zeros((bands, n), dtype=np.int32), np.ones((srows, n), dtype=bool)
+    pos = srows - horizon - 1
+    head = min(ilen, 2)  # I chains entering the band start from 0: grown stays 1
+    build = True
     for i in range(m if n else 0):
-        if rebind:
-            # Views of the workspace buffers for the n live windows.
-            rebind = False
-            flat = block.ravel()
-            eq, run, grown = ws.eq[:bands * n], ws.run[:bands * n], ws.grown[:bands * n]
-            eq_i = eq[bcap * n:(bcap + 1) * n]
-            eq_F = eq[ilen * n:(ilen + alpha) * n]
-            eq_C = eq[(ilen + alpha) * n:].reshape(alpha, n)
-            head = min(ilen, 2) * n  # I chains entering the band start from 0
-            grown[:head] = 1
-            S = ws.S[:srows * n]
-            S2 = S.reshape(srows, n)
-            hit = ws.hit[:tests * n]
-            hit_I = hit[:bcap * n]
-            hit_F = hit[bcap * n:(bcap + alpha) * n]
-            hit_F2 = hit_F.reshape(alpha, n)
-            hit_C = hit[(bcap + alpha) * n:]
-            hits = hit[:(bcap + alpha) * n].reshape(bcap + alpha, n)
-            need = ws.need[:tests * n]
-            need.reshape(tests, n)[:] = ws.k[:, None]
+        if build:
+            build = False
+            run, S, eq, grown, hit, need = _dp_state(run, S, k)
+            eq_I, eq_i, eq_F, eq_C = eq[:ilen], eq[bcap], eq[ilen:ilen + alpha], eq[ilen + alpha:]
+            run_I, grown_I = run[:ilen - head], grown[head:ilen]
+            run_F, grown_F, run_T = run[ilen:], grown[ilen:], run[bcap + 1:]
+            hit_I, hit_F, hit_C = hit[:bcap], hit[bcap:bcap + alpha], hit[bcap + alpha:]
+            hits = hit[:bcap + alpha]
         if pos < 0:
-            S2[srows - horizon:] = S2[:horizon]
+            S[srows - horizon:] = S[:horizon]
             pos = srows - horizon - 1
-        r = (m - 1 - i) * n
+        r = m - 1 - i
         pi = p_codes[i]
-        np.equal(flat[r:r + ilen * n], pi, out=eq[:ilen * n])
+        np.equal(block[r:r + ilen], pi, out=eq_I)
         if bcap:
             # I follows anti-diagonals: row i's u comes from row i-1's u - 2.
-            np.add(run[:ilen * n - head], 1, out=grown[head:ilen * n])
+            np.add(run_I, 1, out=grown_I)
         if alpha:
-            np.equal(flat[r + (bcap + 1) * n:r + (bcap + 1 + alpha) * n], pi, out=eq_F)
-            np.equal(p_rev[m - i:m - i + alpha, None], flat[r + bcap * n:r + (bcap + 1) * n],
-                     out=eq_C)
-            np.add(run[ilen * n:], 1, out=grown[ilen * n:])
+            np.equal(block[r + bcap + 1:r + bcap + 1 + alpha], pi, out=eq_F)
+            np.equal(p_rev[m - i:m - i + alpha, None], block[r + bcap], out=eq_C)
+            np.add(run_F, 1, out=grown_F)
         np.multiply(grown, eq, out=run)
-        srow = S2[pos]
-        np.logical_and(eq_i, S2[pos + 1], out=srow)
+        srow = S[pos]
+        np.logical_and(eq_i, S[pos + 1], out=srow)
         if np.count_nonzero(srow) < n:
             if tests:
                 ident = srow.copy() if witness else None
                 # Inversion of length k: I[i, i-k+1] >= k and S[i-k].
                 # Translocation of halves k: both F >= k and S[i-2k].
-                np.greater_equal(run[(bcap + 1) * n:], need, out=hit)
-                np.logical_and(hit_I, S[(pos + 2) * n:(pos + 2 + bcap) * n], out=hit_I)
+                np.greater_equal(run_T, need, out=hit)
+                np.logical_and(hit_I, S[pos + 2:pos + 2 + bcap], out=hit_I)
                 np.logical_and(hit_F, hit_C, out=hit_F)
-                np.logical_and(hit_F2, S2[pos + 2:pos + 2 * alpha + 1:2], out=hit_F2)
+                np.logical_and(hit_F, S[pos + 2:pos + 2 * alpha + 1:2], out=hit_F)
                 np.logical_or(srow, np.logical_or.reduce(hits, axis=0), out=srow)
                 if witness:
-                    record[i, ids] = _why(ident, hit_I.reshape(bcap, n), hit_F2)
+                    record[i, ids] = _why(ident, hit_I, hit_F)
             if horizon - 1 <= i < m - 1:
                 # A window with no S bit among the last horizon rows is dead.
-                keep = S2[pos:pos + horizon].any(0)
+                keep = S[pos:pos + horizon].any(0)
                 if not keep.all():
-                    n2 = int(keep.sum())
-                    if not n2:
-                        n = 0
+                    ids, block = ids[keep], block.compress(keep, axis=1)
+                    run, S = run.compress(keep, axis=1), S.compress(keep, axis=1)
+                    n, build = len(ids), True
+                    if not n:
                         break
-                    block = block[:, keep]
-                    ids = ids[keep]
-                    for buf, nrows in ((ws.run, bands), (ws.S, srows)):
-                        buf[:nrows * n2] = buf[:nrows * n].reshape(nrows, n)[:, keep].ravel()
-                    n = n2
-                    rebind = True
         pos -= 1
-    matched = exact
-    if n:
-        matched[ids[ws.S[(pos + 1) * n:(pos + 2) * n]]] = True
+    matched[ids[S[pos + 1]]] = True
     for c in np.flatnonzero(matched).tolist():
         yield int(starts[c]), _blocks(record[:, c].tolist()) if witness else None
 
@@ -302,7 +265,7 @@ def _codes(seq: Sequence) -> np.ndarray:
 
 
 def verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
-                   params: SearchParams, workspace: VerifierWorkspace | None = None,
+                   params: SearchParams,
                    witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
     """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
 
@@ -313,16 +276,15 @@ def verify_windows(pattern: Sequence, text: Sequence, starts: Iterable[int],
     one is asked for, else None.  params must be normalized for len(pattern).
     """
     m = len(pattern)
-    ws = workspace if workspace is not None else VerifierWorkspace(params.alpha, params.beta)
     p_arr, t_arr = _codes(pattern), _codes(text)
     # A signed type that holds every code and the -1 padding.
     dtype = np.promote_types(np.promote_types(p_arr.dtype, t_arr.dtype), np.int16)
-    p_rev = np.full(m + ws.alpha, -1, dtype=dtype)
+    p_rev = np.full(m + params.alpha, -1, dtype=dtype)
     p_rev[:m] = p_arr[::-1]
     p_codes = list(p_arr.astype(dtype))
     starts = iter(starts)
     while len(chunk := np.fromiter(islice(starts, CHUNK), dtype=np.intp)):
-        yield from _advance(p_codes, p_rev, t_arr, chunk, m, ws, witness)
+        yield from _advance(p_codes, p_rev, t_arr, chunk, m, params, witness)
 
 
 def _check_call(pattern: Sequence, text: Sequence, s: int,
@@ -336,17 +298,13 @@ def _check_call(pattern: Sequence, text: Sequence, s: int,
 
 
 def verify(pattern: Sequence, text: Sequence, s: int,
-           params: SearchParams | None = None,
-           workspace: VerifierWorkspace | None = None) -> bool:
+           params: SearchParams | None = None) -> bool:
     """True iff the pattern matches t[s..s+m-1] under the given bounds.
 
-    Accepts symbol strings or integer code sequences.  A workspace built
-    for the same normalized (alpha, beta) may be supplied for reuse.
+    Accepts symbol strings or integer code sequences.
     """
     params = _check_call(pattern, text, s, params)
-    if workspace is not None and (workspace.alpha, workspace.beta) != (params.alpha, params.beta):
-        raise ValueError("workspace built for different parameters")
-    return next(verify_windows(pattern, text, (s,), params, workspace), None) is not None
+    return next(verify_windows(pattern, text, (s,), params), None) is not None
 
 
 def verify_with_witness(pattern: Sequence, text: Sequence, s: int,

@@ -41,6 +41,41 @@ def enum_match(p: str, w: str, alpha: int, beta: int) -> bool:
     return rec(0)
 
 
+def witness_reference(p: str, w: str, alpha: int, beta: int) -> tuple[Block, ...] | None:
+    """The witness the verifier documents, from a slow prefix DP with direct
+    slicing, or None when w does not match p.
+
+    ok[j] says whether w[:j] decomposes into blocks of p[:j].  Walking back
+    from j = m, the block that ends at j is identity when it can be, else
+    the shortest translocation, else the shortest inversion, in each case
+    one with a decomposable prefix before it.  Independent of the verifier.
+    """
+    m = len(p)
+
+    def ending_at(j):
+        if p[j - 1] == w[j - 1]:
+            yield Block(IDENTITY, j - 1)
+        for k in range(1, min(alpha, j // 2) + 1):
+            a = j - 2 * k
+            if w[a:a + k] == p[a + k:j] and w[a + k:j] == p[a:a + k]:
+                yield Block(TRANSLOCATION, a, k)
+        for k in range(2, min(beta, j) + 1):
+            if w[j - k:j] == p[j - k:j][::-1]:
+                yield Block(INVERSION, j - k, k)
+
+    ok = [True]
+    for j in range(1, m + 1):
+        ok.append(any(ok[b.offset] for b in ending_at(j)))
+    if not ok[m]:
+        return None
+    blocks = []
+    j = m
+    while j:
+        blocks.append(next(b for b in ending_at(j) if ok[b.offset]))
+        j = blocks[-1].offset
+    return tuple(reversed(blocks))
+
+
 def random_block_decomposition(rng: random.Random, m: int, alpha: int, beta: int) -> list[Block]:
     """A random valid block list covering offsets 0..m-1."""
     blocks: list[Block] = []

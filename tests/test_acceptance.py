@@ -6,6 +6,7 @@ is deterministic; the underlying estimators are unbiased (see the density
 helper, which measures candidate counts exactly).
 """
 
+import importlib
 import math
 import random
 import time
@@ -24,7 +25,10 @@ from mdmatch.oracle import (
     permutation_probability,
 )
 from mdmatch.search import Matcher, filtered_search, fingerprint_prefix, scan_candidates
-from mdmatch.verify import VerifierWorkspace, verify
+from mdmatch.verify import verify
+
+# The module itself: the package exports a function of the same name.
+verify_module = importlib.import_module("mdmatch.verify")
 
 
 def _report(num, name, ok, detail):
@@ -199,17 +203,29 @@ def test_criterion_08_filter_speedup():
             f"per pattern, speedup {speedup:.0f}x (>= 3x), {elapsed:.1f}s")
 
 
-def test_criterion_09_space_bound():
+def test_criterion_09_space_bound(monkeypatch):
     rng = random.Random(0xC9)
     alpha, beta = 4, 8
-    cells = set()
+    dp_state = verify_module._dp_state
+    built = []
+
+    def measured(*args):
+        state = dp_state(*args)
+        built.append(sum(a.size for a in state))
+        return state
+
+    monkeypatch.setattr(verify_module, "_dp_state", measured)
+    cells, ran = set(), True
     for m in (64, 512, 4096):
-        text = rand_string(rng, 4, m)
-        ws = VerifierWorkspace(alpha, beta)
-        verify(text, text, 0, SearchParams(alpha, beta), ws)
-        cells.add(ws.cells())
-    _report(9, "verifier space bound", len(cells) == 1,
-            f"workspace cells across m=64/512/4096: {cells}")
+        # The pattern with its last two symbols swapped matches by a
+        # translocation at the end, so no shortcut decides it: the DP runs
+        # all m rows.
+        p = rand_string(rng, 4, m - 2) + "ab"
+        built.clear()
+        ran &= verify(p, p[:-2] + "ba", 0, SearchParams(alpha, beta)) and bool(built)
+        cells.add(sum(built))
+    _report(9, "verifier space bound", ran and len(cells) == 1,
+            f"DP state cells across m=64/512/4096: {cells}, DP ran: {ran}")
 
 
 def test_criterion_10_rolling_delta_consistency():

@@ -117,6 +117,22 @@ class TestSearch:
                                   str(text))
         assert inline == from_file
 
+    @pytest.mark.parametrize("fasta", [b">p\nab\n", b"\n>p\n\x80\x90\n"])
+    def test_raw_pattern_file_is_one_pattern_per_line(self, tmp_path, capsys, fasta):
+        # FASTA would upper-case "ab" and reject bytes >= 0x80, so under --raw
+        # a FASTA pattern file is a usage error and lines are taken verbatim.
+        text, pats = tmp_path / "t.bin", tmp_path / "p.txt"
+        text.write_bytes(b"abAB\x80\x90")
+        argv = ["search", "--raw", "--alpha", "0", "--beta", "0",
+                "--pattern-file", str(pats), str(text)]
+        pats.write_bytes(fasta)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "one pattern per line, not FASTA" in capsys.readouterr().err
+        pats.write_bytes(b"ab\n\x80\x90\n")
+        assert run_cli(capsys, *argv)[:2] == (0, "0\t\t0\n1\t\t4\n")
+
     def test_exact_windows_witnessed(self, tmp_path, capsys):
         # A periodic text: every fourth window is an exact copy, witnessed by
         # identity alone; the rotations between are decided by the DP.

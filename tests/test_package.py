@@ -8,11 +8,11 @@ import mdmatch
 
 PUBLIC = {
     "Block", "IDENTITY", "INVERSION", "Matcher", "Occurrence", "SearchParams",
-    "SearchStats", "SequenceRecord", "TRANSLOCATION", "VerifierWorkspace",
-    "apply_blocks", "code_points", "extract_patterns", "filtered_search",
-    "gen_random_text", "maximal_params", "md_distance", "naive_search",
-    "normalize_params", "oracle_match", "permutation_probability", "read_fasta",
-    "rolling_deltas", "verify", "verify_with_witness",
+    "SearchStats", "SequenceRecord", "TRANSLOCATION", "apply_blocks",
+    "code_points", "extract_patterns", "filtered_search", "gen_random_text",
+    "maximal_params", "md_distance", "naive_search", "normalize_params",
+    "oracle_match", "permutation_probability", "read_fasta", "rolling_deltas",
+    "verify", "verify_with_witness",
 }
 SRC = Path(mdmatch.__file__).parent
 
@@ -40,7 +40,7 @@ def top_level_names(path):
 
 
 def test_public_names():
-    assert len(mdmatch.__all__) == len(PUBLIC) == 25
+    assert len(mdmatch.__all__) == len(PUBLIC) == 24
     assert set(mdmatch.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(mdmatch, name)

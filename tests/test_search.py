@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_string, random_block_decomposition
+from conftest import rand_string, random_block_decomposition, witness_reference
 from mdmatch.core import SearchParams, apply_blocks, code_points, maximal_params
 from mdmatch.oracle import naive_search
 from mdmatch.search import Matcher, SearchStats, filtered_search, scan_candidates
@@ -269,6 +270,51 @@ class TestChunks:
                 assert matcher.stats(p, params).candidates > CHUNK
                 assert positions(matcher.find(p, params)) == ref
                 assert positions(matcher.scan_all(p, params)) == ref
+
+
+class TestEdgeShapes:
+    """Matcher.find against naive_search where the engine takes its edge paths:
+    no inversion band (beta <= 1), no translocation band (alpha == 0), no
+    test rows at all, m at or near n, and windows that die across chunks."""
+
+    @staticmethod
+    def check(p, text, alpha, beta):
+        params = SearchParams(alpha, beta)
+        found = Matcher(text).find(p, params, with_witness=True)
+        assert positions(found) == positions(naive_search(p, text, params))
+        for occ in found:
+            window = text[occ.position:occ.position + len(p)]
+            assert occ.witness == witness_reference(p, window, alpha, beta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["ab", "abc"]),
+           st.integers(2, 24), st.integers(0, 1), st.integers(0, 2), st.integers(0, 3))
+    def test_m_at_or_near_n(self, rng, letters, n, shorter, a, b):
+        m = n - shorter
+        alpha, beta = (0, 1, m // 2)[a], (0, 1, 2, m)[b]
+        p = "".join(rng.choice(letters) for _ in range(m))
+        text = apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
+        if rng.random() < 0.5:
+            text = "".join(rng.sample(text, m))
+        pad = rng.choice(letters) * shorter
+        text = pad + text if rng.random() < 0.5 else text + pad
+        self.check(p, text, alpha, beta)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["ab", "abc"]),
+           st.integers(2, 12), st.integers(0, 2), st.integers(0, 3))
+    def test_more_candidates_than_a_chunk(self, seed, letters, m, a, b):
+        # Each of the 2 * CHUNK blocks permutes p, so each is a candidate:
+        # rearranged block by block it matches, shuffled it mostly dies.
+        # A seeded generator: this many draws would overrun hypothesis's buffer.
+        rng = random.Random(seed)
+        alpha, beta = (0, 1, m // 2)[a], (0, 1, 2, m)[b]
+        p = "".join(rng.choice(letters) for _ in range(m))
+        text = "".join(apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
+                       if rng.random() < 0.3 else "".join(rng.sample(p, m))
+                       for _ in range(2 * CHUNK))
+        assert Matcher(text).stats(p, SearchParams(alpha, beta)).candidates > CHUNK
+        self.check(p, text, alpha, beta)
 
 
 class TestFingerprintFilter:

@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import enum_match, rand_string, random_block_decomposition
+from conftest import enum_match, rand_string, random_block_decomposition, witness_reference
 from mdmatch.core import (
     Block,
     IDENTITY,
@@ -14,11 +15,8 @@ from mdmatch.core import (
     code_points,
 )
 from mdmatch.oracle import oracle_match
-from mdmatch.verify import (
-    VerifierWorkspace,
-    verify,
-    verify_with_witness,
-)
+from mdmatch.search import Matcher
+from mdmatch.verify import verify, verify_with_witness
 
 # The module itself: the package exports a function of the same name.
 verify_module = importlib.import_module("mdmatch.verify")
@@ -133,22 +131,25 @@ class TestVerifyProperties:
             assert (verify_with_witness(p_list, t_list, s, params)
                     == verify_with_witness(p, t, s, params))
 
-    def test_workspace_reuse(self):
-        ws = VerifierWorkspace(2, 4)
-        assert verify("abcd", "cdab", 0, SearchParams(2, 4), ws)
-        assert not verify("abcd", "ddda", 0, SearchParams(2, 4), ws)
-        assert verify("abcd", "cdab", 0, SearchParams(2, 4), ws)
-        with pytest.raises(ValueError, match="different parameters"):
-            verify("abcd", "cdab", 0, SearchParams(1, 1), ws)
+    def test_workspace_size_independent_of_input_length(self, monkeypatch):
+        dp_state = verify_module._dp_state
+        built = []
 
-    def test_workspace_size_independent_of_input_length(self):
+        def measured(*args):
+            state = dp_state(*args)
+            built.append(sum(a.size for a in state))
+            return state
+
+        monkeypatch.setattr(verify_module, "_dp_state", measured)
         rng = random.Random(5)
         sizes = set()
         for m in (64, 512, 4096):
-            text = rand_string(rng, 4, m)
-            ws = VerifierWorkspace(4, 8)
-            verify(text[:m], text, 0, SearchParams(4, 8), ws)
-            sizes.add(ws.cells())
+            # A translocation of the last two symbols: the DP runs all m rows.
+            p = rand_string(rng, 4, m - 2) + "ab"
+            built.clear()
+            assert verify(p, p[:-2] + "ba", 0, SearchParams(4, 8))
+            assert built
+            sizes.add(sum(built))
         assert len(sizes) == 1
 
 
@@ -179,6 +180,25 @@ class TestWitness:
 
     def test_none_when_no_match(self):
         assert verify_with_witness("ab", "ba", 0, SearchParams(0, 1)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["ab", "abc"]),
+           st.integers(1, 16), st.sampled_from(["blocks", "shuffled", "random"]))
+    def test_witness_is_the_reference(self, rng, letters, m, kind):
+        p = "".join(rng.choice(letters) for _ in range(m))
+        alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
+        if kind == "blocks":
+            w = apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
+        elif kind == "shuffled":
+            w = "".join(rng.sample(p, m))
+        else:
+            w = "".join(rng.choice(letters) for _ in range(m))
+        params = SearchParams(alpha, beta)
+        assert verify_with_witness(p, w, 0, params) == witness_reference(p, w, alpha, beta)
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(0, m))) + w + p
+        for occ in Matcher(text).find(p, params, with_witness=True):
+            window = text[occ.position:occ.position + m]
+            assert occ.witness == witness_reference(p, window, alpha, beta)
 
     def test_witness_replays_to_window(self):
         rng = random.Random(616)
