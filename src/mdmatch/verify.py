@@ -25,22 +25,20 @@ anti-diagonal, each row needs only the previous row of each band plus the
 last max(2*alpha, beta) values of S, so the working space is independent
 of m.
 
-One engine runs this DP on a chunk of up to CHUNK candidate windows at a
-time.  A window equal to the pattern is accepted, with the all-identity
-witness, by one compare over the chunk before any row is run, so a
+One engine decides a chunk of up to CHUNK candidate windows at a time.  A
+window equal to the pattern matches by one compare over the chunk, so a
 pattern's exact copies never pay for the m rows of the DP.  When the DP
-could not drop the other windows for many rows, the cut test (_cuttable)
-decides them first from the cuts where the prefixes of p and w have equal
-multisets; a window that no chain of blocks between such cuts can match,
-like the pattern's occurrence shifted by one, leaves the chunk.  The DP
-state is built when the DP first runs on a chunk, for its live windows:
-numpy arrays shaped (rows, windows), so each step of a row is one numpy
-call for the whole chunk.  A window with no S bit among the last
-max(2*alpha, beta) rows can never match and leaves the chunk, and the state
-is built again for the windows left.  The translocation and inversion
-tests are skipped on rows where every live window extends by identity.
-Back-pointers are recorded only when a witness is asked for.  Every caller,
-Matcher included, reaches the engine through verify_windows.
+could not drop the others for many rows, the cut test decides them first
+from the chains of blocks between cuts, where the prefixes of p and w have
+equal multisets (_chains), so a window like the pattern's occurrence
+shifted by one leaves the chunk.  The DP runs on the windows left, its
+state built once as numpy arrays shaped (rows, windows), so each step of a
+row is one numpy call for the chunk.  It skips the translocation and
+inversion tests on rows where every live window extends by identity, and
+stops once no window has an S bit among the last max(2*alpha, beta) rows.
+The DP only decides: a matched window's witness is walked back along its
+chain, and an exact copy's is all identity.  Every caller, Matcher
+included, reaches the engine through verify_windows.
 """
 
 from __future__ import annotations
@@ -71,80 +69,86 @@ CUT_TEST_ROWS = 8
 CUT_TEST_MAX = 64
 
 
-def _why(ident: np.ndarray, inv: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Back-pointer codes of one row: 0 for identity, k > 0 for the shortest
-    translocation of halves k, -k for the shortest inversion of length k."""
-    code = np.zeros(len(ident), dtype=np.int32)
-    if len(inv):
-        code = np.where(inv.any(0), -2 - inv.argmax(0), code)
-    if len(trans):
-        code = np.where(trans.any(0), 1 + trans.argmax(0), code)
-    code[ident] = 0
-    return code
-
-
-def _dp_state(run: np.ndarray, S: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The DP state of n live windows, every array C-contiguous and (rows, n):
-    run and S as given, the scratch rows eq and grown (all 1) beside run, hit,
-    and k repeated to width n as the length each test row must reach."""
-    n = S.shape[1]
-    return (run, S, np.empty(run.shape, dtype=bool), np.ones_like(run),
+def _dp_state(n: int, bands: int, srows: int, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The DP state of n windows, every array C-contiguous and (rows, n): the
+    band run lengths (all 0), S (all 1: the empty prefix matches), the scratch
+    rows eq and grown (all 1) beside run, hit, and k repeated to width n as
+    the length each test row must reach."""
+    return (np.zeros((bands, n), dtype=np.int32), np.ones((srows, n), dtype=bool),
+            np.empty((bands, n), dtype=bool), np.ones((bands, n), dtype=np.int32),
             np.empty((len(k), n), dtype=bool), k[:, None].repeat(n, axis=1))
 
 
 def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.ndarray,
              m: int, params: SearchParams,
              witness: bool) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
-    """Run the DP row by row on the windows t_arr[s:s+m] for s in starts.
+    """Decide the windows t_arr[s:s+m] for s in starts.
 
     p_rev is the pattern reversed and padded with alpha entries of -1.
     Yields (s, blocks) for the matching windows in the order of starts.
     """
     alpha, beta = params.alpha, params.beta
     bcap = max(beta - 1, 0)
+    # Row r holds w[m - 1 + bcap - r] of every window and -1 off the window,
+    # so the positions j = i + bcap down to i - max(alpha, bcap) that feed
+    # row i of the DP are one forward block from row m - 1 - i.
+    block = np.full((m + bcap + max(alpha, bcap), len(starts)), -1, dtype=p_rev.dtype)
+    block[bcap:bcap + m] = t_arr[starts + np.arange(m - 1, -1, -1)[:, None]]
+    w_rev = block[bcap:bcap + m]
+    # A window equal to the pattern matches by identity alone, which is also
+    # the witness the tie-break gives it, so it skips the DP.
+    exact = (w_rev == p_rev[:m, None]).all(0)
+    ids = np.flatnonzero(~exact)
+    if len(ids) and CUT_TEST_ROWS * len(ids) < min(m, max(2 * alpha, beta, 1)):
+        # The DP cannot drop these windows for many rows; the cut test
+        # rejects most of those that cannot match in one pass each.
+        chains = _chains(p_rev[:m], w_rev[:, ids], alpha, beta, CUT_TEST_MAX)
+        ids = ids[[chain is None or m in chain for chain in chains]]
+    matched = exact.copy()
+    if len(ids):
+        if len(ids) < len(starts):
+            # take keeps the rows the DP reads C-contiguous; block[:, ids] does not.
+            block = block.take(ids, axis=1)
+        matched[ids[_dp(p_codes, p_rev, block, m, alpha, beta)]] = True
+    found = np.flatnonzero(matched)
+    if not witness:
+        for s in starts[found].tolist():
+            yield s, None
+        return
+    rearranged = found[~exact[found]]
+    chains = iter(_chains(p_rev[:m], w_rev[:, rearranged], alpha, beta)
+                  if len(rearranged) else ())
+    same = tuple(Block(IDENTITY, i) for i in range(m)) if len(rearranged) < len(found) else None
+    for c in found.tolist():
+        yield int(starts[c]), same if exact[c] else _blocks(next(chains), m)
+
+
+def _dp(p_codes: list, p_rev: np.ndarray, block: np.ndarray, m: int,
+        alpha: int, beta: int) -> np.ndarray:
+    """The mask of the windows of block (laid out as _advance builds it) that
+    match, from the DP run row by row over all of them at once."""
+    n = block.shape[1]
+    bcap = max(beta - 1, 0)
     horizon = max(2 * alpha, beta, 1)
     # Band rows: I[i, i + bcap - u] for u = 0..2*bcap, then F[i, i-k] and
     # F[i-k, i] for k = 1..alpha.  Test rows: the I rows of inversion
     # lengths 2..beta, then both F bands.
     ilen = 2 * bcap + 1
-    bands = ilen + 2 * alpha
     tests = bcap + 2 * alpha
     # S rows: the last horizon rows plus room to write before shifting.
     srows = 2 * horizon + 32
     k = np.array([*range(2, beta + 1)] + 2 * [*range(1, alpha + 1)], dtype=np.int32)
-    # Row r holds w[m - 1 + bcap - r] of every window and -1 off the window,
-    # so the positions j = i + bcap down to i - max(alpha, bcap) that feed
-    # row i are one forward block from row m - 1 - i.
-    block = np.full((m + bcap + max(alpha, bcap), len(starts)), -1, dtype=p_rev.dtype)
-    block[bcap:bcap + m] = t_arr[starts + np.arange(m - 1, -1, -1)[:, None]]
-    # A window equal to the pattern matches by identity alone, which is also
-    # the witness the tie-break gives it, so it skips the DP.  Its column of
-    # record stays 0, identity at every row.
-    matched = (block[bcap:bcap + m] == p_rev[:m, None]).all(0)
-    ids = np.flatnonzero(~matched)
-    if len(ids) and CUT_TEST_ROWS * len(ids) < min(m, horizon):
-        # The DP cannot drop these windows for many rows; the cut test
-        # rejects most of those that cannot match in one pass each.
-        ids = ids[_cuttable(p_rev[:m], block[bcap:bcap + m, ids], alpha, beta)]
-    if len(ids) < len(starts):
-        block = block.take(ids, axis=1)
-    n = len(ids)
-    record = np.zeros((m, len(starts)), dtype=np.int32) if witness else None
-    # S[-1] is true: the empty prefix matches.  S[i] is row pos, S[i - d]
-    # row pos + d.
-    run, S = np.zeros((bands, n), dtype=np.int32), np.ones((srows, n), dtype=bool)
-    pos = srows - horizon - 1
+    run, S, eq, grown, hit, need = _dp_state(n, ilen + 2 * alpha, srows, k)
+    eq_I, eq_i, eq_F, eq_C = eq[:ilen], eq[bcap], eq[ilen:ilen + alpha], eq[ilen + alpha:]
     head = min(ilen, 2)  # I chains entering the band start from 0: grown stays 1
-    build = True
-    for i in range(m if n else 0):
-        if build:
-            build = False
-            run, S, eq, grown, hit, need = _dp_state(run, S, k)
-            eq_I, eq_i, eq_F, eq_C = eq[:ilen], eq[bcap], eq[ilen:ilen + alpha], eq[ilen + alpha:]
-            run_I, grown_I = run[:ilen - head], grown[head:ilen]
-            run_F, grown_F, run_T = run[ilen:], grown[ilen:], run[bcap + 1:]
-            hit_I, hit_F, hit_C = hit[:bcap], hit[bcap:bcap + alpha], hit[bcap + alpha:]
-            hits = hit[:bcap + alpha]
+    run_I, grown_I = run[:ilen - head], grown[head:ilen]
+    run_F, grown_F, run_T = run[ilen:], grown[ilen:], run[bcap + 1:]
+    hit_I, hit_F, hit_C = hit[:bcap], hit[bcap:bcap + alpha], hit[bcap + alpha:]
+    hits = hit[:bcap + alpha]
+    # S[i] is row pos, S[i - d] row pos + d.
+    pos = srows - horizon - 1
+    live = n  # never fewer than the windows not yet dead
+    for i in range(m):
         if pos < 0:
             S[srows - horizon:] = S[:horizon]
             pos = srows - horizon - 1
@@ -161,9 +165,10 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
         np.multiply(grown, eq, out=run)
         srow = S[pos]
         np.logical_and(eq_i, S[pos + 1], out=srow)
-        if np.count_nonzero(srow) < n:
+        # A dead window never extends by identity: when as many windows do
+        # as are live, every live one does and the tests are skipped.
+        if np.count_nonzero(srow) < live:
             if tests:
-                ident = srow.copy() if witness else None
                 # Inversion of length k: I[i, i-k+1] >= k and S[i-k].
                 # Translocation of halves k: both F >= k and S[i-2k].
                 np.greater_equal(run_T, need, out=hit)
@@ -171,92 +176,85 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
                 np.logical_and(hit_F, hit_C, out=hit_F)
                 np.logical_and(hit_F, S[pos + 2:pos + 2 * alpha + 1:2], out=hit_F)
                 np.logical_or(srow, np.logical_or.reduce(hits, axis=0), out=srow)
-                if witness:
-                    record[i, ids] = _why(ident, hit_I, hit_F)
+            # A window with no S bit among the last horizon rows is dead for
+            # good; once every window is, none matches.
             if horizon - 1 <= i < m - 1:
-                # A window with no S bit among the last horizon rows is dead.
-                keep = S[pos:pos + horizon].any(0)
-                if not keep.all():
-                    ids, block = ids[keep], block.compress(keep, axis=1)
-                    run, S = run.compress(keep, axis=1), S.compress(keep, axis=1)
-                    n, build = len(ids), True
-                    if not n:
-                        break
+                live = np.count_nonzero(S[pos:pos + horizon].any(0))
+                if not live:
+                    return np.zeros(n, dtype=bool)
         pos -= 1
-    matched[ids[S[pos + 1]]] = True
-    for c in np.flatnonzero(matched).tolist():
-        yield int(starts[c]), _blocks(record[:, c].tolist()) if witness else None
+    return S[pos + 1]
 
 
-def _cuttable(p_rev: np.ndarray, w_rev: np.ndarray, alpha: int, beta: int) -> np.ndarray:
-    """False for each window that cannot match; True where it may.
+def _chains(p_rev: np.ndarray, w_rev: np.ndarray, alpha: int, beta: int,
+            limit: int | None = None) -> list[dict[int, int] | None]:
+    """Per window, the cuts that chains of blocks from 0 reach, each with the
+    code of the block that ends there (0 identity, k > 0 a swap of halves k,
+    -k a reversal of k), or None for a window with more than limit cuts,
+    which is left untested.
 
     p_rev is the pattern reversed, and column c of w_rev is window c
-    reversed.  Every block of a match permutes its own span, so the cuts
-    between blocks lie where the prefixes of p and w have equal multisets,
-    read here off equal prefix sums of the filter's symbol weights (a
-    collision only adds a cut).  A window is kept when a chain of cuts from
-    0 to m exists whose every step is an identity symbol, a reversal of at
-    most beta symbols or a swap of two halves of at most alpha.  That is the
-    match condition itself, so the test never rejects a match; a window
-    with more than CUT_TEST_MAX cuts is kept untested.
+    reversed.  Blocks permute their own spans, so cuts lie where the
+    prefixes of p and w have equal multisets, read off equal prefix sums of
+    the filter's symbol weights; a collision only adds a cut, and each block
+    is checked by an exact compare, so a window matches iff m is reached.
+    The code at a cut follows the witness tie-break: identity when it can
+    be, else the shortest translocation, else the shortest inversion.
     """
     m = len(p_rev)
     size = p_rev.itemsize
     p = p_rev[::-1]
-    cuts = (np.cumsum(symbol_weights(w_rev[::-1]), axis=0)
-            == np.cumsum(symbol_weights(p))[:, None])
-    pb, prb = p.tobytes(), p_rev.tobytes()
+    w = np.ascontiguousarray(w_rev[::-1].T)
+    cuts = np.cumsum(symbol_weights(w), axis=1) == np.cumsum(symbol_weights(p))
+    pb, prb, wall = p.tobytes(), p_rev.tobytes(), w.tobytes()
     longest = max(2 * alpha, beta, 1)
-    keep = cuts[-1].copy()
-    for c in np.flatnonzero(keep).tolist():
-        ends = (np.flatnonzero(cuts[:, c]) + 1).tolist()
-        if len(ends) > CUT_TEST_MAX:
+    window, at = np.nonzero(cuts)
+    ends = (at + 1).tolist()
+    first = np.searchsorted(window, np.arange(len(w) + 1)).tolist()
+    chains = []
+    for c in range(len(w)):
+        lo, hi = first[c], first[c + 1]
+        if not cuts[c, -1] or (limit is not None and hi - lo > limit):
+            chains.append(None if cuts[c, -1] else {})
             continue
-        wb = w_rev[::-1, c].tobytes()
-        reach = [0]
-        for b in ends:
-            for a in reversed(reach):
+        wb, ident = wall[c * m * size:(c + 1) * m * size], (w[c] == p).tolist()
+        code = {0: 0}  # the empty prefix
+        for b in ends[lo:hi]:
+            if ident[b - 1] and b - 1 in code:
+                code[b] = 0
+                continue
+            best = None
+            for a in reversed(code):
                 span = b - a
-                if span > longest:
+                if span > longest or (best is not None and span > 2 * alpha):
                     break
-                x, y = a * size, b * size
-                if span == 1:
-                    ok = wb[x:y] == pb[x:y]
-                else:
-                    ok = span <= beta and wb[x:y] == prb[(m - b) * size:(m - a) * size]
-                    h = span // 2 * size
-                    if not ok and span % 2 == 0 and span // 2 <= alpha:
-                        ok = wb[x:x + h] == pb[x + h:y] and wb[x + h:y] == pb[x:x + h]
-                if ok:
-                    reach.append(b)
+                x, y, h = a * size, b * size, span // 2 * size
+                if (span % 2 == 0 and span // 2 <= alpha
+                        and wb[x:x + h] == pb[x + h:y] and wb[x + h:y] == pb[x:x + h]):
+                    best = span // 2
                     break
-        keep[c] = reach[-1] == m
-    return keep
+                if best is None and 1 < span <= beta and wb[x:y] == prb[(m - b) * size:(m - a) * size]:
+                    best = -span
+            if best is not None:
+                code[b] = best
+        chains.append(code)
+    return chains
 
 
-def _blocks(codes: list) -> tuple[Block, ...]:
-    """The block decomposition of a matched window from its back-pointers.
-
-    codes[i] says how S[i] was set: 0 by identity, k > 0 by a translocation
-    of halves k, -k by an inversion of length k.  Ties are broken toward
-    identity, then the shortest translocation, then the shortest inversion.
-    """
-    blocks = []
-    i = len(codes) - 1
-    while i >= 0:
-        k = codes[i]
+def _blocks(chain: dict[int, int], m: int) -> tuple[Block, ...]:
+    """The block decomposition of a matched window, walked back from m
+    along its chain codes (see _chains)."""
+    blocks, b = [], m
+    while b:
+        k = chain[b]
         if k == 0:
-            blocks.append(Block(IDENTITY, i))
-            i -= 1
+            blocks.append(Block(IDENTITY, b - 1))
         elif k > 0:
-            blocks.append(Block(TRANSLOCATION, i - 2 * k + 1, k))
-            i -= 2 * k
+            blocks.append(Block(TRANSLOCATION, b - 2 * k, k))
         else:
-            blocks.append(Block(INVERSION, i + k + 1, -k))
-            i += k
-    blocks.reverse()
-    return tuple(blocks)
+            blocks.append(Block(INVERSION, b + k, -k))
+        b = blocks[-1].offset
+    return tuple(reversed(blocks))
 
 
 def _codes(seq: Sequence) -> np.ndarray:

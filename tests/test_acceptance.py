@@ -10,6 +10,7 @@ import importlib
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -206,26 +207,42 @@ def test_criterion_08_filter_speedup():
 def test_criterion_09_space_bound(monkeypatch):
     rng = random.Random(0xC9)
     alpha, beta = 4, 8
-    dp_state = verify_module._dp_state
-    built = []
+    dp_state, dp = verify_module._dp_state, verify_module._dp
+    built, peaks = [], []
 
     def measured(*args):
         state = dp_state(*args)
         built.append(sum(a.size for a in state))
         return state
 
+    def traced(*args):
+        # Everything the DP allocates, not only its state: the chunk's
+        # window block is its one m-sized input and is built before.
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mask = dp(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return mask
+
     monkeypatch.setattr(verify_module, "_dp_state", measured)
+    monkeypatch.setattr(verify_module, "_dp", traced)
     cells, ran = set(), True
-    for m in (64, 512, 4096):
-        # The pattern with its last two symbols swapped matches by a
-        # translocation at the end, so no shortcut decides it: the DP runs
-        # all m rows.
-        p = rand_string(rng, 4, m - 2) + "ab"
-        built.clear()
-        ran &= verify(p, p[:-2] + "ba", 0, SearchParams(alpha, beta)) and bool(built)
-        cells.add(sum(built))
-    _report(9, "verifier space bound", ran and len(cells) == 1,
-            f"DP state cells across m=64/512/4096: {cells}, DP ran: {ran}")
+    tracemalloc.start()
+    try:
+        for m in (64, 512, 4096):
+            # The pattern with its last two symbols swapped matches by a
+            # translocation at the end, so no shortcut decides it: the DP
+            # runs all m rows.
+            p = rand_string(rng, 4, m - 2) + "ab"
+            built.clear()
+            ran &= verify(p, p[:-2] + "ba", 0, SearchParams(alpha, beta)) and bool(built)
+            cells.add(sum(built))
+    finally:
+        tracemalloc.stop()
+    _report(9, "verifier space bound",
+            ran and len(cells) == 1 and len(peaks) == 3 and max(peaks) < 16384,
+            f"DP state cells across m=64/512/4096: {cells}, DP ran: {ran}, "
+            f"peak bytes per DP call: {peaks} (bound 16384)")
 
 
 def test_criterion_10_rolling_delta_consistency():

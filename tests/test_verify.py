@@ -9,6 +9,7 @@ from conftest import enum_match, rand_string, random_block_decomposition, witnes
 from mdmatch.core import (
     Block,
     IDENTITY,
+    INVERSION,
     TRANSLOCATION,
     SearchParams,
     apply_blocks,
@@ -200,6 +201,50 @@ class TestWitness:
             window = text[occ.position:occ.position + m]
             assert occ.witness == witness_reference(p, window, alpha, beta)
 
+    def test_long_windows_past_the_cut_limit(self):
+        # A few blocks in a long window leave most prefixes balanced, so the
+        # window has more than CUT_TEST_MAX cuts: the DP decides it and the
+        # witness walks a long chain.
+        rng = random.Random(1011)
+        past = 0
+        for _ in range(40):
+            m = rng.randint(100, 300)
+            alpha, beta = rng.randint(1, 16), rng.randint(2, 16)
+            p = rand_string(rng, 4, m)
+            blocks, pos = [], 0
+            while pos < m:
+                r = rng.random()
+                if r < 0.03 and pos + 2 * alpha <= m:
+                    blocks.append(Block(TRANSLOCATION, pos, rng.randint(1, alpha)))
+                elif r < 0.06 and pos + beta <= m:
+                    blocks.append(Block(INVERSION, pos, rng.randint(2, beta)))
+                else:
+                    blocks.append(Block(IDENTITY, pos))
+                pos += blocks[-1].span
+            w = apply_blocks(p, blocks)
+            past += sum(sorted(p[:j]) == sorted(w[:j]) for j in range(1, m + 1)) > \
+                verify_module.CUT_TEST_MAX
+            want = witness_reference(p, w, alpha, beta)
+            assert want is not None
+            assert verify_with_witness(p, w, 0, SearchParams(alpha, beta)) == want
+            text = rand_string(rng, 4, 50) + w + p
+            occs = Matcher(text).find(p, SearchParams(alpha, beta), with_witness=True)
+            assert occs[0].position == 50 and occs[0].witness == want
+        assert past >= 30
+
+    @pytest.mark.parametrize("m", [8, 30, 64])
+    def test_periodic_text(self, m):
+        # At even m every window of "AC" * k matches: one phase is a copy,
+        # the other a chain of swaps or reversals.
+        text = "AC" * 60
+        for p in (text[:m], text[1:m + 1]):
+            for alpha, beta in ((m // 2, m), (2, 4), (0, 2)):
+                occs = Matcher(text).find(p, SearchParams(alpha, beta), with_witness=True)
+                assert [o.position for o in occs] == list(range(len(text) - m + 1))
+                for occ in occs:
+                    window = text[occ.position:occ.position + m]
+                    assert occ.witness == witness_reference(p, window, alpha, beta)
+
     def test_witness_replays_to_window(self):
         rng = random.Random(616)
         positives = 0
@@ -223,9 +268,12 @@ class TestWitness:
 
 
 def cut_test(p: str, windows: list[str], alpha: int, beta: int) -> list[bool]:
-    """verify._cuttable on windows given as strings, one column each."""
+    """The cut test, verify._chains with CUT_TEST_MAX, on windows given as
+    strings: True where a window is kept."""
     cols = np.stack([code_points(w) for w in windows], axis=1)
-    return verify_module._cuttable(code_points(p)[::-1], cols[::-1], alpha, beta).tolist()
+    chains = verify_module._chains(code_points(p)[::-1], cols[::-1], alpha, beta,
+                                   verify_module.CUT_TEST_MAX)
+    return [chain is None or len(p) in chain for chain in chains]
 
 
 class TestCutTest:
@@ -265,6 +313,8 @@ class TestCutTest:
             want = enum_match(p, w, alpha, beta)
             assert cut_test(p, [w], alpha, beta) == [want]
             assert verify(p, w, 0, SearchParams(alpha, beta)) == want
+            assert (verify_with_witness(p, w, 0, SearchParams(alpha, beta))
+                    == witness_reference(p, w, alpha, beta))
 
     def test_windows_past_the_cut_limit_are_kept(self, monkeypatch):
         monkeypatch.setattr(verify_module, "CUT_TEST_MAX", 2)
