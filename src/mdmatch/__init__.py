@@ -4,9 +4,10 @@ and a banded dynamic-programming verifier.  Symbols are coded by their
 Unicode code points (core.code_points) from text to verifier.
 
 Matcher (search.py) is the one search path: its filter is
-search.scan_candidates and its verifier is verify.verify_windows.  The
-slow references it is tested against, the paper's rolling filter
-(rolling_deltas) included, live in oracle.py."""
+search.scan_group, one fingerprint pass over the text for the patterns of
+one length (scan_candidates is its one-pattern case), and its verifier is
+verify.verify_windows.  The slow references it is tested against, the
+paper's rolling filter (rolling_deltas) included, live in oracle.py."""
 
 from .core import (
     Block,

@@ -84,16 +84,23 @@ def cmd_search(args, parser) -> int:
         # read_fasta upper-cases sequence data; fold patterns the same way
         patterns = [p.upper() for p in patterns]
     records = _load_records(args.text_file, raw=args.raw)
+    # find_many clamps one set of bounds to each length; the longest
+    # pattern's maxima do for every shorter one.
+    longest = max(map(len, patterns))
     lines = []
     for rec in records:
-        matcher = Matcher(rec.data)
-        for pid, pattern in enumerate(patterns):
-            if not pattern:
-                parser.error("empty pattern")
-            if len(pattern) > len(rec.data):
-                continue
-            params = _params_for(len(pattern), args.alpha, args.beta)
-            for occ in matcher.find(pattern, params, with_witness=args.witness):
+        fits = [p for p in patterns if len(p) <= len(rec.data)]
+        if not fits:
+            continue
+        # Checked as the first pattern searched would check them: bad bounds
+        # before an empty pattern that comes later.
+        if fits[0]:
+            params = _params_for(longest, args.alpha, args.beta)
+        if not all(fits):
+            parser.error("empty pattern")
+        found = Matcher(rec.data).find_many(patterns, params, with_witness=args.witness)
+        for pid, occs in enumerate(found):
+            for occ in occs:
                 fields = [str(pid), rec.id, str(occ.position)]
                 if args.witness:
                     fields.append(" ".join(b.token() for b in occ.witness))

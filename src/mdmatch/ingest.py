@@ -47,6 +47,11 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     sequence lines before the first header as a single anonymous record;
     blank lines there open no record.  raw=True returns the bytes verbatim
     as one record, except for one trailing newline removed.
+
+    source is bytes, a binary or text file object, or a str.  A str is the
+    data itself, encoded as latin-1, not a path: read_fasta("w.txt")
+    returns one record whose sequence is "W.TXT".  Open a file and pass
+    the file object to read it.
     """
     data = _read_bytes(source)
     if raw:

@@ -4,15 +4,16 @@ benchmarking.
 
 The filter keeps the windows that are permutations of the pattern, a
 necessary condition for a match under translocations and inversions.  It
-runs one vectorized pass per pattern over a multiset fingerprint of every
-window, in the manner of Karp and Rabin (1987) but with an order-free sum.
-Each code gets a 64-bit splitmix64 weight (core.symbol_weights), and a
-window's fingerprint is the sum of its weights modulo 2**64, read off a
-prefix-sum array built once per text.  A permutation of the pattern always
-has the pattern's fingerprint; the rare window that has it by collision is
-rejected by an exact sorted compare.  The paper's rolling histogram update,
-which selects the same windows, is kept as the reference in
-oracle.rolling_deltas.
+runs one vectorized pass per pattern length over a multiset fingerprint of
+every window, in the manner of Karp and Rabin (1987) but with an order-free
+sum; the patterns of one length share the pass (scan_group), as in their
+multi-pattern search.  Each code gets a 64-bit splitmix64 weight
+(core.symbol_weights), and a window's fingerprint is the sum of its weights
+modulo 2**64, read off a prefix-sum array built once per text.  A
+permutation of a pattern always has the pattern's fingerprint; the rare
+window that has it by collision is rejected by an exact sorted compare.
+The paper's rolling histogram update, which selects the same windows, is
+kept as the reference in oracle.rolling_deltas.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     Occurrence,
@@ -33,8 +33,10 @@ from .core import (
 )
 from .verify import verify_windows
 
-# Symbols weighed, or windows compared, per numpy call: the temporaries stay
-# cache-sized, and the prefix is the only text-sized uint64 array.
+# Symbols weighed, window fingerprints compared, or window symbols confirmed
+# per numpy call: the temporaries stay cache-sized whatever the number of
+# patterns filtered together, and the prefix is the only text-sized uint64
+# array.
 _SLICE = 1 << 15
 
 
@@ -54,44 +56,80 @@ def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
     return prefix
 
 
-def scan_candidates(pattern: Sequence[int], text: Sequence[int],
-                    prefix: np.ndarray | None = None) -> np.ndarray:
-    """All positions whose window is a permutation of the pattern, ascending.
+def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
+               prefix: np.ndarray | None = None) -> list[np.ndarray]:
+    """For each row of patterns, a (k, m) array, all positions whose window
+    is a permutation of that row, ascending.
 
-    One vectorized pass keeps the windows whose fingerprint equals the
-    pattern's; prefix is fingerprint_prefix(text), built here when not
-    given.  Every hit is then confirmed by comparing its sorted symbols with
-    the sorted pattern, so a fingerprint collision costs a sort but never
-    adds a candidate, and the output is identical to the delta == 0
-    positions of the rolling update (oracle.rolling_deltas).  Hits are confirmed at most n // m at a
-    time, so the extra memory stays O(n) even when every window is a hit.
+    One vectorized pass over the text computes each window's fingerprint
+    once and keeps the windows whose fingerprint equals one of the rows';
+    prefix is fingerprint_prefix(text), built here when not given.  The hits
+    are then grouped by fingerprint, and each is confirmed by comparing its
+    sorted symbols with the sorted rows of its group, once per distinct
+    multiset: rows that permute each other share that work, a fingerprint
+    collision costs a sort but never adds a candidate, and each output is
+    identical to the delta == 0 positions of the rolling update
+    (oracle.rolling_deltas).  Rows with one multiset share one array.  Hits
+    are confirmed _SLICE symbols at a time, so the extra memory stays O(n)
+    whatever k is.
     """
-    p = np.asarray(pattern)
+    ps = np.asarray(patterns)
     t = np.asarray(text)
-    m, n = len(p), len(t)
+    k, m = ps.shape
+    n = len(t)
     if m == 0:
         raise ValueError("empty pattern")
     if m > n:
-        return np.empty(0, dtype=np.int64)
+        return [np.empty(0, dtype=np.int64)] * k
     if prefix is None:
         prefix = fingerprint_prefix(t)
-    fingerprint = symbol_weights(p).sum(dtype=np.uint64)
+    fingerprints = symbol_weights(ps.ravel()).reshape(k, m).sum(axis=1, dtype=np.uint64)
+    sorted_rows = np.sort(ps, axis=1)
+    # Per fingerprint, the rows of each distinct multiset that has it.
+    groups: dict[int, dict[bytes, list[int]]] = {}
+    for r, key in enumerate(fingerprints.tolist()):
+        groups.setdefault(key, {}).setdefault(sorted_rows[r].tobytes(), []).append(r)
+    keys = np.array(list(groups), dtype=np.uint64)
     count = n - m + 1
     hit = np.empty(count, dtype=bool)
+    # One buffer for every slice: a new temporary per slice, kept alive
+    # across the next allocation, can cost a page fault per page each time.
+    buf = np.empty(min(count, _SLICE), dtype=np.uint64)
     for i in range(0, count, _SLICE):
         j = min(i + _SLICE, count)
-        np.equal(prefix[m + i:m + j] - prefix[i:j], fingerprint, out=hit[i:j])
+        window = np.subtract(prefix[m + i:m + j], prefix[i:j], out=buf[:j - i])
+        np.equal(window, keys[0], out=hit[i:j])
+        for key in keys[1:]:
+            hit[i:j] |= window == key
     hits = np.flatnonzero(hit)
-    windows = sliding_window_view(t, m)
-    sorted_p = np.sort(p)
-    step = max(1, n // m)
-    confirmed = []
+    # The confirmed parts of each multiset, under the multiset's first row.
+    found = {rows[0]: [hits[:0]] for multisets in groups.values() for rows in multisets.values()}
+    offsets = np.arange(m)
+    step = max(1, _SLICE // m)
     for i in range(0, len(hits), step):
         part = hits[i:i + step]
-        block = windows[part]
-        block.sort(axis=1)
-        confirmed.append(part[(block == sorted_p).all(axis=1)])
-    return np.concatenate(confirmed) if confirmed else hits
+        if len(keys) > 1:
+            part_keys = prefix[part + m] - prefix[part]
+        for key, multisets in zip(keys, groups.values()):
+            sel = part if len(keys) == 1 else part[part_keys == key]
+            block = t[sel[:, None] + offsets]
+            block.sort(axis=1)
+            for rows in multisets.values():
+                found[rows[0]].append(sel[(block == sorted_rows[rows[0]]).all(axis=1)])
+    out: list = [None] * k
+    for multisets in groups.values():
+        for rows in multisets.values():
+            cands = np.concatenate(found[rows[0]])
+            for r in rows:
+                out[r] = cands
+    return out
+
+
+def scan_candidates(pattern: Sequence[int], text: Sequence[int],
+                    prefix: np.ndarray | None = None) -> np.ndarray:
+    """All positions whose window is a permutation of the pattern, ascending:
+    scan_group of the pattern alone."""
+    return scan_group(np.asarray(pattern)[None], text, prefix)[0]
 
 
 @dataclass(frozen=True)
@@ -119,10 +157,10 @@ class Matcher:
         self._t_arr = code_points(text)
         self._prefix = None
 
-    def _candidates(self, p_arr):
+    def _fingerprints(self) -> np.ndarray:
         if self._prefix is None:
             self._prefix = fingerprint_prefix(self._t_arr)
-        return scan_candidates(p_arr, self._t_arr, self._prefix)
+        return self._prefix
 
     def _prep(self, pattern: str, params: SearchParams | None):
         m = len(pattern)
@@ -131,20 +169,43 @@ class Matcher:
         params = normalize_params(params or maximal_params(m), m)
         return m, params, code_points(pattern)
 
+    def _verified(self, p_arr, cands: np.ndarray, params: SearchParams,
+                  with_witness: bool) -> Iterator[Occurrence]:
+        for s, witness in verify_windows(p_arr, self._t_arr, cands.tolist(), params,
+                                         witness=with_witness):
+            yield Occurrence(s, witness)
+
     def iter_find(self, pattern: str, params: SearchParams | None = None,
                   with_witness: bool = False) -> Iterator[Occurrence]:
         """Yield occurrences in increasing position order (streaming)."""
         m, params, p_arr = self._prep(pattern, params)
         if m > len(self.text):
             return
-        cands = self._candidates(p_arr)
-        for s, witness in verify_windows(p_arr, self._t_arr, cands.tolist(), params,
-                                         witness=with_witness):
-            yield Occurrence(s, witness)
+        cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
+        yield from self._verified(p_arr, cands, params, with_witness)
 
     def find(self, pattern: str, params: SearchParams | None = None,
              with_witness: bool = False) -> list[Occurrence]:
         return list(self.iter_find(pattern, params, with_witness))
+
+    def find_many(self, patterns: Sequence[str], params: SearchParams | None = None,
+                  with_witness: bool = False) -> list[list[Occurrence]]:
+        """find for each pattern, in the order given; params is normalized
+        for each pattern's length.  The patterns of one length share one
+        filter pass over the text (scan_group)."""
+        by_length: dict[int, list[int]] = {}
+        for i, pattern in enumerate(patterns):
+            by_length.setdefault(len(pattern), []).append(i)
+        found: list[list[Occurrence]] = [[] for _ in patterns]
+        for m, ids in by_length.items():
+            norm = normalize_params(params or maximal_params(m), m)  # raises when m == 0
+            if m > len(self.text):
+                continue
+            rows = code_points("".join(patterns[i] for i in ids)).reshape(len(ids), m)
+            for i, row, cands in zip(ids, rows, scan_group(rows, self._t_arr,
+                                                           self._fingerprints())):
+                found[i] = list(self._verified(row, cands, norm, with_witness))
+        return found
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
         """Baseline: run the banded verifier at every position, no filter."""
@@ -161,7 +222,7 @@ class Matcher:
         n = len(self.text)
         if m > n:
             return SearchStats(0, 0, 0)
-        cands = self._candidates(p_arr)
+        cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
         matches = sum(1 for _ in verify_windows(p_arr, self._t_arr, cands.tolist(), params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)

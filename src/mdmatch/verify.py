@@ -30,19 +30,22 @@ window equal to the pattern matches by one compare over the chunk, so a
 pattern's exact copies never pay for the m rows of the DP.  When the DP
 could not drop the others for many rows, the cut test decides them first
 from the chains of blocks between cuts, where the prefixes of p and w have
-equal multisets (_chains), so a window like the pattern's occurrence
-shifted by one leaves the chunk.  The DP runs on the windows left, its
-state built once as numpy arrays shaped (rows, windows), so each step of a
-row is one numpy call for the chunk.  It skips the translocation and
-inversion tests on rows where every live window extends by identity, and
-stops once no window has an S bit among the last max(2*alpha, beta) rows.
-The DP only decides: a matched window's witness is walked back along its
-chain, and an exact copy's is all identity.  Every caller, Matcher
+equal multisets (_chains): a window whose chain reaches m matches, and one
+whose chain stops short, like the pattern's occurrence shifted by one,
+leaves the chunk.  The DP runs on the windows left, those with more than
+CUT_TEST_MAX cuts or never cut-tested, its state built once as numpy
+arrays shaped (rows, windows), so each step of a row is one numpy call for
+the chunk.  It skips the translocation and inversion tests on rows where
+every live window extends by identity, and stops once no window has an S
+bit among the last max(2*alpha, beta) rows.  The DP only decides: a matched
+window's witness is walked back along its chain, the cut test's when it
+made one, and an exact copy's is all identity.  Every caller, Matcher
 included, reaches the engine through verify_windows.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -99,12 +102,17 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
     # the witness the tie-break gives it, so it skips the DP.
     exact = (w_rev == p_rev[:m, None]).all(0)
     ids = np.flatnonzero(~exact)
+    matched = exact.copy()
+    chained = {}  # window -> its chain, for the windows the cut test proved
     if len(ids) and CUT_TEST_ROWS * len(ids) < min(m, max(2 * alpha, beta, 1)):
         # The DP cannot drop these windows for many rows; the cut test
-        # rejects most of those that cannot match in one pass each.
+        # decides most of them in one pass each.  A chain that reaches m was
+        # built by exact compares, so its window matches without the DP.
         chains = _chains(p_rev[:m], w_rev[:, ids], alpha, beta, CUT_TEST_MAX)
-        ids = ids[[chain is None or m in chain for chain in chains]]
-    matched = exact.copy()
+        chained = {c: chain for c, chain in zip(ids.tolist(), chains)
+                   if chain is not None and m in chain}
+        matched[list(chained)] = True
+        ids = ids[[chain is None for chain in chains]]
     if len(ids):
         if len(ids) < len(starts):
             # take keeps the rows the DP reads C-contiguous; block[:, ids] does not.
@@ -115,12 +123,18 @@ def _advance(p_codes: list, p_rev: np.ndarray, t_arr: np.ndarray, starts: np.nda
         for s in starts[found].tolist():
             yield s, None
         return
-    rearranged = found[~exact[found]]
-    chains = iter(_chains(p_rev[:m], w_rev[:, rearranged], alpha, beta)
-                  if len(rearranged) else ())
-    same = tuple(Block(IDENTITY, i) for i in range(m)) if len(rearranged) < len(found) else None
+    unwalked = [c for c in found.tolist() if not exact[c] and c not in chained]
+    if unwalked:
+        chained.update(zip(unwalked, _chains(p_rev[:m], w_rev[:, unwalked], alpha, beta)))
     for c in found.tolist():
-        yield int(starts[c]), same if exact[c] else _blocks(next(chains), m)
+        yield int(starts[c]), _identity(m) if exact[c] else _blocks(chained[c], m)
+
+
+@functools.lru_cache(maxsize=1)
+def _identity(m: int) -> tuple[Block, ...]:
+    """The witness of a window equal to the pattern; Blocks are frozen, so
+    the windows and patterns of one length share it."""
+    return tuple(Block(IDENTITY, i) for i in range(m))
 
 
 def _dp(p_codes: list, p_rev: np.ndarray, block: np.ndarray, m: int,

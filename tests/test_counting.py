@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rand_string, random_block_decomposition
 from mdmatch.core import apply_blocks, code_points
 from mdmatch.oracle import advance, init_counts, rolling_deltas
-from mdmatch.search import fingerprint_prefix, scan_candidates
+from mdmatch.search import fingerprint_prefix, scan_candidates, scan_group
 
 
 def codes(s):
@@ -235,4 +235,93 @@ class TestFingerprint:
         finally:
             tracemalloc.stop()
         assert len(got) == len(t) - len(p) + 1
+        assert peak < 64 * len(t)
+
+
+def _group_rows(rng, m, count, t, alphabet):
+    """count rows of length m: drawn rows, copies of windows of t, a
+    duplicate and a permuted copy."""
+    rows = [[rng.randrange(alphabet) for _ in range(m)] for _ in range(count)]
+    for _ in range(2):
+        s = rng.randint(0, len(t) - m)
+        rows.append(t[s:s + m])
+    rows.append(list(rows[0]))
+    rows.append(rng.sample(rows[-2], m))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestScanGroup:
+    """scan_group filters the rows of one length in one pass; each row's
+    candidates are its own rolling delta == 0 positions."""
+
+    @staticmethod
+    def check(rows, t, prefix=None):
+        got = scan_group(np.array(rows), np.array(t), prefix)
+        assert [c.tolist() for c in got] == [_rolling_candidates(p, t) for p in rows]
+
+    def test_rows_against_rolling_deltas(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            m = rng.randint(1, 8)
+            t = [rng.randrange(3) for _ in range(rng.randint(m, 100))]
+            self.check(_group_rows(rng, m, rng.randint(0, 4), t, 3), t)
+
+    def test_permuted_rows_share_one_array(self):
+        t = [0, 1, 1, 0, 2, 1, 0]
+        got = scan_group(np.array([[1, 0], [0, 1], [1, 0], [2, 2]]), t)
+        assert got[0] is got[1] is got[2]
+        assert got[0].tolist() == [0, 2, 5] and got[3].tolist() == []
+
+    def test_rows_longer_than_text(self):
+        assert [c.size for c in scan_group(np.array([[0, 1], [1, 1]]), [0])] == [0, 0]
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            scan_group(np.zeros((2, 0), dtype=int), [0, 1])
+
+    def test_forced_collisions_split_by_multiset(self, monkeypatch):
+        # Every weight equal: rows of different multisets share one
+        # fingerprint, so one group holds them all and each hit is
+        # confirmed against each row's own sorted symbols.
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights",
+                            lambda codes: np.ones(len(codes), dtype=np.uint64))
+        rng = random.Random(37)
+        mixed = 0
+        for _ in range(150):
+            m = rng.randint(1, 8)
+            t = [rng.randrange(3) for _ in range(rng.randint(m, 100))]
+            rows = _group_rows(rng, m, rng.randint(1, 4), t, 3)
+            mixed += len({tuple(sorted(r)) for r in rows}) > 1
+            self.check(rows, t)
+        assert mixed > 100
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_slice_boundaries(self, monkeypatch, size):
+        # Fingerprint compares and hit confirmation go _SLICE symbols at a
+        # time; small slices put many boundaries inside short texts, and
+        # rows longer than a slice confirm one hit per call.
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "_SLICE", size)
+        rng = random.Random(41)
+        for _ in range(60):
+            m = rng.randint(1, 9)
+            t = [rng.randrange(3) for _ in range(rng.randint(m, 40))]
+            self.check(_group_rows(rng, m, rng.randint(0, 3), t, 3), t)
+
+    def test_memory_bounded_whatever_the_rows(self):
+        # Ten rows, every window a hit of five of them: the extra memory
+        # stays within the one-row bound.
+        t = code_points("AB" * 50_000)
+        rows = np.array([code_points("AB" * 128)] * 5 + [code_points("BA" * 128)] * 4
+                        + [code_points("C" * 256)])
+        scan_group(rows, t)
+        tracemalloc.start()
+        try:
+            got = scan_group(rows, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got[0]) == len(t) - 255 and len(got[9]) == 0
         assert peak < 64 * len(t)

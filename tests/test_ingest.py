@@ -37,6 +37,15 @@ class TestReadFasta:
         recs = read_fasta(io.BytesIO(b">s\nAA\n"))
         assert recs[0].data == "AA"
 
+    def test_str_source_is_the_data_not_a_path(self, tmp_path, monkeypatch):
+        # A str is the data itself, read as latin-1: the name of a file
+        # that exists is parsed as a one-line sequence, never opened.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_bytes(b">x\nAC\n")
+        assert read_fasta("w.txt") == [SequenceRecord("", "W.TXT")]
+        assert read_fasta(">x\nac\n") == [SequenceRecord("x", "AC")]
+        assert read_fasta("\xe9\xff", raw=True) == [SequenceRecord("", "\xe9\xff")]
+
     def test_empty_file(self):
         with pytest.raises(ValueError, match="no sequences"):
             read_fasta(b"")

@@ -402,3 +402,66 @@ class TestCutTest:
                 parts.append("".join(rng.sample(p, m)))
             text = "".join(parts)
             assert len(TestExactWindows.check(p, text, params)) >= 3
+
+
+class TestFindMany:
+    """find_many gives each pattern what find gives it, with the patterns of
+    one length filtered together."""
+
+    @staticmethod
+    def tokens(occs):
+        return [(o.position, o.witness and [b.token() for b in o.witness]) for o in occs]
+
+    def check(self, matcher, patterns, params, with_witness):
+        got = matcher.find_many(patterns, params, with_witness)
+        assert [self.tokens(occs) for occs in got] == \
+            [self.tokens(matcher.find(p, params, with_witness)) for p in patterns]
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["ab", "abc", "abcdefgh"]),
+           st.integers(0, 2), st.integers(0, 2), st.booleans(), st.booleans())
+    def test_same_as_find_per_pattern(self, seed, letters, a, b, with_witness, dense):
+        # Mixed lengths, a duplicate, a permuted copy and a pattern longer
+        # than the text; a dense text holds more than CHUNK candidates of
+        # its first pattern.  alpha and beta are 0, 1 or the maxima.
+        # A seeded generator: a dense text would overrun hypothesis's buffer.
+        rng = random.Random(seed)
+        lengths = [rng.randint(1, 12) for _ in range(rng.randint(1, 5))]
+        patterns = ["".join(rng.choice(letters) for _ in range(m)) for m in lengths]
+        if dense:
+            p = patterns[0]
+            text = "".join("".join(rng.sample(p, len(p))) for _ in range(2 * CHUNK))
+        else:
+            text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 150)))
+        s = rng.randint(0, max(0, len(text) - lengths[0]))
+        patterns += [rng.choice(patterns), "".join(rng.sample(patterns[0], lengths[0])),
+                     text[s:s + lengths[0]], text + letters[0]]
+        rng.shuffle(patterns)
+        params = None if a == b == 2 else SearchParams((0, 1, 10**6)[a], (0, 1, 10**6)[b])
+        matcher = Matcher(text)
+        self.check(matcher, patterns, params, with_witness)
+        if dense:
+            assert matcher.stats(p, params).candidates > CHUNK
+
+    def test_forced_collisions_share_one_key(self, monkeypatch):
+        # Every weight equal: the patterns of one length all share one
+        # fingerprint, different multisets included.
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights",
+                            lambda codes: np.ones(len(codes), dtype=np.uint64))
+        rng = random.Random(1501)
+        for _ in range(60):
+            text = rand_string(rng, 3, rng.randint(1, 80))
+            patterns = [rand_string(rng, 3, rng.choice([2, 3, 5])) for _ in range(6)]
+            patterns.append("".join(rng.sample(patterns[0], len(patterns[0]))))
+            params = SearchParams(rng.randint(0, 2), rng.randint(0, 5))
+            for occs, p in zip(self.check(Matcher(text), patterns, params, True), patterns):
+                assert positions(occs) == positions(naive_search(p, text, params))
+
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            Matcher("abc").find_many(["ab", ""])
+
+    def test_no_patterns(self):
+        assert Matcher("abc").find_many([]) == []

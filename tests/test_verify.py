@@ -339,3 +339,27 @@ class TestCutTest:
         assert not verify(p, text, 1, params)
         monkeypatch.setattr(verify_module, "CUT_TEST_ROWS", m)
         assert not verify(p, text, 1, params)  # the DP alone agrees
+
+    def test_chain_to_m_decides_without_the_dp(self, monkeypatch):
+        # A rearranged window of a long pattern with few cuts: its chain
+        # reaches m, so it matches with no _dp call, and its witness is the
+        # chain the cut test walked.
+        calls = []
+        dp = verify_module._dp
+        monkeypatch.setattr(verify_module, "_dp", lambda *a: calls.append(1) or dp(*a))
+        rng = random.Random(65)
+        decided = 0
+        for _ in range(60):
+            m = rng.randint(20, 60)
+            alpha, beta = m // 2, m
+            p = rand_string(rng, 4, m)
+            w = apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
+            if w == p or not cut_test(p, [w], alpha, beta)[0]:
+                continue
+            calls.clear()
+            want = witness_reference(p, w, alpha, beta)
+            assert verify_with_witness(p, w, 0, SearchParams(alpha, beta)) == want
+            assert verify(p, w, 0, SearchParams(alpha, beta))
+            assert calls == []
+            decided += 1
+        assert decided > 40
