@@ -1,7 +1,7 @@
 """Approximate string matching under translocations of equal-length adjacent
 factors and inversions of factors, with a counting filter (permutation test)
-and a banded dynamic-programming verifier.  Symbols are coded by their
-Unicode code points (core.code_points) from text to verifier.
+and a verifier that walks each candidate's chain of cuts.  Symbols are coded
+by their Unicode code points (core.code_points) from text to verifier.
 
 Matcher (search.py) is the one search path: its filter is
 search.scan_group, one fingerprint pass over the text for the patterns of

@@ -88,6 +88,7 @@ def cmd_search(args, parser) -> int:
     # pattern's maxima do for every shorter one.
     longest = max(map(len, patterns))
     lines = []
+    identity = {}  # pattern length -> the witness tokens of an exact copy
     for rec in records:
         fits = [p for p in patterns if len(p) <= len(rec.data)]
         if not fits:
@@ -103,7 +104,13 @@ def cmd_search(args, parser) -> int:
             for occ in occs:
                 fields = [str(pid), rec.id, str(occ.position)]
                 if args.witness:
-                    fields.append(" ".join(b.token() for b in occ.witness))
+                    m = len(patterns[pid])
+                    if len(occ.witness) < m:
+                        fields.append(" ".join(b.token() for b in occ.witness))
+                    else:  # m one-symbol blocks: all identity, the same for every copy
+                        if m not in identity:
+                            identity[m] = " ".join(b.token() for b in occ.witness)
+                        fields.append(identity[m])
                 lines.append((pid, rec.id, occ.position, "\t".join(fields)))
     lines.sort(key=lambda item: item[:3])
     for line in lines:

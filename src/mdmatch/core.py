@@ -76,7 +76,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def symbol_weights(codes: Sequence[int]) -> np.ndarray:
     """The splitmix64 mix of each code, as uint64: one 64-bit weight per symbol.
 
-    The filter's window fingerprints and the verifier's cut test both sum
+    The filter's window fingerprints and the verifier's cuts both sum
     these weights, so a multiset of symbols has one weight sum everywhere.
     """
     z = np.asarray(codes).astype(np.uint64)

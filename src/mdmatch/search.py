@@ -1,6 +1,6 @@
 """Filter-and-verify search: candidate positions from the counting filter,
-confirmed by the banded verifier.  Includes a verify-everywhere baseline for
-benchmarking.
+confirmed by the verifier's walk along each window's chain of cuts.
+Includes a verify-everywhere baseline for benchmarking.
 
 The filter keeps the windows that are permutations of the pattern, a
 necessary condition for a match under translocations and inversions.  It
@@ -46,7 +46,7 @@ def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
     Entry k is the fingerprint of codes[:k], so the window codes[s:s+m] has
     fingerprint prefix[s+m] - prefix[s] (also wrapping).  A sum does not
     depend on order, so windows with equal histograms have equal
-    fingerprints; the converse can fail, and scan_candidates checks it.
+    fingerprints; the converse can fail, and scan_group checks it.
     """
     codes = np.asarray(codes)
     prefix = np.zeros(len(codes) + 1, dtype=np.uint64)
@@ -171,7 +171,7 @@ class Matcher:
 
     def _verified(self, p_arr, cands: np.ndarray, params: SearchParams,
                   with_witness: bool) -> Iterator[Occurrence]:
-        for s, witness in verify_windows(p_arr, self._t_arr, cands.tolist(), params,
+        for s, witness in verify_windows(p_arr, self._t_arr, cands, params,
                                          witness=with_witness):
             yield Occurrence(s, witness)
 
@@ -208,7 +208,7 @@ class Matcher:
         return found
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
-        """Baseline: run the banded verifier at every position, no filter."""
+        """Baseline: run the verifier at every position, no filter."""
         m, params, p_arr = self._prep(pattern, params)
         n = len(self.text)
         if m > n:
@@ -223,7 +223,7 @@ class Matcher:
         if m > n:
             return SearchStats(0, 0, 0)
         cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
-        matches = sum(1 for _ in verify_windows(p_arr, self._t_arr, cands.tolist(), params))
+        matches = sum(1 for _ in verify_windows(p_arr, self._t_arr, cands, params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)
 

@@ -204,45 +204,59 @@ def test_criterion_08_filter_speedup():
             f"per pattern, speedup {speedup:.0f}x (>= 3x), {elapsed:.1f}s")
 
 
-def test_criterion_09_space_bound(monkeypatch):
+def _space_check(monkeypatch):
+    """Criterion 9's measurement, as (ok, detail): the size of the state the
+    walk carries between row slices, and the peak bytes each decider call
+    allocates, for one window at m = 64, 512 and 4096."""
     rng = random.Random(0xC9)
     alpha, beta = 4, 8
-    dp_state, dp = verify_module._dp_state, verify_module._dp
+    state, decide = verify_module._state, verify_module._decide
     built, peaks = [], []
 
     def measured(*args):
-        state = dp_state(*args)
-        built.append(sum(a.size for a in state))
-        return state
+        arrays = state(*args)
+        built.append(sum(a.size for a in arrays))
+        return arrays
 
     def traced(*args):
-        # Everything the DP allocates, not only its state: the chunk's
-        # window block is its one m-sized input and is built before.
+        # Everything the decider allocates, finding the cuts included: the
+        # chunk's window symbols are its one m-sized input and are built before.
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        mask = dp(*args)
+        result = decide(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        return mask
+        return result
 
-    monkeypatch.setattr(verify_module, "_dp_state", measured)
-    monkeypatch.setattr(verify_module, "_dp", traced)
+    monkeypatch.setattr(verify_module, "_state", measured)
+    monkeypatch.setattr(verify_module, "_decide", traced)
     cells, ran = set(), True
     tracemalloc.start()
     try:
         for m in (64, 512, 4096):
             # The pattern with its last two symbols swapped matches by a
-            # translocation at the end, so no shortcut decides it: the DP
-            # runs all m rows.
+            # translocation at the end, so no shortcut decides it: the walk
+            # crosses all m rows.
             p = rand_string(rng, 4, m - 2) + "ab"
             built.clear()
             ran &= verify(p, p[:-2] + "ba", 0, SearchParams(alpha, beta)) and bool(built)
             cells.add(sum(built))
     finally:
         tracemalloc.stop()
-    _report(9, "verifier space bound",
-            ran and len(cells) == 1 and len(peaks) == 3 and max(peaks) < 16384,
-            f"DP state cells across m=64/512/4096: {cells}, DP ran: {ran}, "
-            f"peak bytes per DP call: {peaks} (bound 16384)")
+    ok = ran and len(cells) == 1 and len(peaks) == 3 and max(peaks) < 16384
+    return ok, (f"walk state cells across m=64/512/4096: {cells}, decider ran: {ran}, "
+                f"peak bytes per decider call: {peaks} (bound 16384)")
+
+
+def test_criterion_09_space_bound(monkeypatch):
+    _report(9, "verifier space bound", *_space_check(monkeypatch))
+
+
+def test_criterion_09_catches_m_sized_row_slices(monkeypatch):
+    # Row slices as long as the window make finding the cuts allocate in
+    # proportion to m, which the check must refuse.
+    monkeypatch.setattr(verify_module, "ROWS", 4096)
+    ok, detail = _space_check(monkeypatch)
+    assert not ok, detail
 
 
 def test_criterion_10_rolling_delta_consistency():

@@ -10,6 +10,7 @@ from mdmatch.cli import build_parser, main
 from mdmatch.core import apply_blocks, Block, IDENTITY, INVERSION, TRANSLOCATION
 from mdmatch.ingest import gen_random_text
 from mdmatch.oracle import naive_search
+from mdmatch.search import Matcher
 
 
 def run_cli(capsys, *argv):
@@ -135,7 +136,7 @@ class TestSearch:
 
     def test_exact_windows_witnessed(self, tmp_path, capsys):
         # A periodic text: every fourth window is an exact copy, witnessed by
-        # identity alone; the rotations between are decided by the DP.
+        # identity alone; the rotations between are decided by the walk.
         data = "ACGT" * 100
         text = tmp_path / "t.txt"
         text.write_text(data)
@@ -152,6 +153,32 @@ class TestSearch:
                 head, _, klen = token.partition(":")
                 blocks.append(Block(kinds[head[0]], int(head[2:]), int(klen) if klen else 1))
             assert apply_blocks("ACGT", blocks) == data[s:s + 4]
+
+    def test_exact_copies_print_per_block_tokens(self, tmp_path, capsys):
+        # Many exact copies of two patterns of different lengths among
+        # rearranged ones: the all-identity tokens, formatted once per length,
+        # print as formatting each block would.
+        rng = random.Random(79)
+        patterns = ["ACGTTGCA", "ACGTACGTTGCAAC"]
+        parts = []
+        for _ in range(80):
+            p = rng.choice(patterns)
+            parts.append(p if rng.random() < 0.6 else apply_blocks(
+                p, random_block_decomposition(rng, len(p), len(p) // 2, len(p))))
+            parts.append(gen_random_text(rng.randint(1, 6), 4, rng.randrange(1000)))
+        data = "".join(parts)
+        path, pats = tmp_path / "t.txt", tmp_path / "p.txt"
+        path.write_text(data)
+        pats.write_text("\n".join(patterns) + "\n")
+        code, out, _ = run_cli(capsys, "search", "--witness", "--pattern-file", str(pats),
+                               str(path))
+        assert code == 0
+        want = [f"{pid}\t\t{occ.position}\t" + " ".join(b.token() for b in occ.witness)
+                for pid, occs in enumerate(Matcher(data).find_many(patterns, with_witness=True))
+                for occ in occs]
+        assert out == "".join(line + "\n" for line in want)
+        exact = [line for line in want if "T@" not in line and "V@" not in line]
+        assert len({line.count("I@") for line in exact}) == 2 and len(exact) > 40
 
     def test_case_folded_against_fasta(self, tmp_path, capsys):
         text = tmp_path / "t.fa"

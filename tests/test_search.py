@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import random
 
@@ -9,7 +10,22 @@ from conftest import rand_string, random_block_decomposition, witness_reference
 from mdmatch.core import SearchParams, apply_blocks, code_points, maximal_params
 from mdmatch.oracle import naive_search
 from mdmatch.search import Matcher, SearchStats, filtered_search, scan_candidates
-from mdmatch.verify import CHUNK, verify_with_witness
+from mdmatch.verify import verify_with_witness
+
+# The module itself: the package exports a function of the same name.
+verify_module = importlib.import_module("mdmatch.verify")
+
+# A chunk budget of window symbols for the tests that cross chunk seams.
+BUDGET = 128
+
+
+@contextlib.contextmanager
+def small_chunks():
+    """The verifier's chunk budget patched down to BUDGET, so that texts of a
+    few hundred candidates cross chunk seams."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "CHUNK", BUDGET)
+        yield
 
 
 def positions(occs):
@@ -220,12 +236,10 @@ class TestWitnessPass:
             self.check(p, text, params)
 
     def test_one_engine_run_per_candidate(self, monkeypatch):
-        # The package's verify function shadows its verify module as an attribute.
-        verify_module = importlib.import_module("mdmatch.verify")
         engine = verify_module._advance
         advanced = []
         monkeypatch.setattr(verify_module, "_advance",
-                            lambda *a: advanced.extend(a[3].tolist()) or engine(*a))
+                            lambda *a: advanced.extend(a[2].tolist()) or engine(*a))
         rng = random.Random(1203)
         for m in (6, 100):
             params = maximal_params(m)
@@ -238,9 +252,10 @@ class TestWitnessPass:
                 assert advanced == candidates.tolist()
                 assert all((occ.witness is not None) == with_witness for occ in occs)
 
+    @small_chunks()
     def test_windows_dying_inside_a_chunk(self):
         # Narrow bands on a binary text: most of the many candidates of each
-        # chunk die after a few rows while the planted ones go on matching.
+        # chunk die after a few cuts while the planted ones go on matching.
         rng = random.Random(1204)
         for _ in range(6):
             m = rng.randint(10, 20)
@@ -253,29 +268,30 @@ class TestWitnessPass:
                     rng, m, params.alpha, params.beta)))
             text = "".join(parts)
             matcher = Matcher(text)
-            assert matcher.stats(p, params).candidates > CHUNK
+            assert matcher.stats(p, params).candidates > BUDGET
             self.check(p, text, params)
             assert positions(matcher.find(p, params)) == positions(naive_search(p, text, params))
 
 
 class TestChunks:
+    @small_chunks()
     def test_more_candidates_than_a_chunk(self):
         rng = random.Random(1301)
-        text = rand_string(rng, 2, 8 * CHUNK)
+        text = rand_string(rng, 2, 8 * BUDGET)
         matcher = Matcher(text)
         for m in (4, 9):
             p = text[17:17 + m]
             for params in (maximal_params(m), SearchParams(1, 2)):
                 ref = positions(naive_search(p, text, params))
-                assert matcher.stats(p, params).candidates > CHUNK
+                assert matcher.stats(p, params).candidates > BUDGET
                 assert positions(matcher.find(p, params)) == ref
                 assert positions(matcher.scan_all(p, params)) == ref
 
 
 class TestEdgeShapes:
-    """Matcher.find against naive_search where the engine takes its edge paths:
-    no inversion band (beta <= 1), no translocation band (alpha == 0), no
-    test rows at all, m at or near n, and windows that die across chunks."""
+    """Matcher.find against naive_search where the walk takes its edge paths:
+    no inversions (beta <= 1), no translocations (alpha == 0), neither, m at
+    or near n, and windows that die across chunks."""
 
     @staticmethod
     def check(p, text, alpha, beta):
@@ -303,8 +319,9 @@ class TestEdgeShapes:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(["ab", "abc"]),
            st.integers(2, 12), st.integers(0, 2), st.integers(0, 3))
+    @small_chunks()
     def test_more_candidates_than_a_chunk(self, seed, letters, m, a, b):
-        # Each of the 2 * CHUNK blocks permutes p, so each is a candidate:
+        # Each of the 2 * BUDGET blocks permutes p, so each is a candidate:
         # rearranged block by block it matches, shuffled it mostly dies.
         # A seeded generator: this many draws would overrun hypothesis's buffer.
         rng = random.Random(seed)
@@ -312,8 +329,8 @@ class TestEdgeShapes:
         p = "".join(rng.choice(letters) for _ in range(m))
         text = "".join(apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
                        if rng.random() < 0.3 else "".join(rng.sample(p, m))
-                       for _ in range(2 * CHUNK))
-        assert Matcher(text).stats(p, SearchParams(alpha, beta)).candidates > CHUNK
+                       for _ in range(2 * BUDGET))
+        assert Matcher(text).stats(p, SearchParams(alpha, beta)).candidates > BUDGET
         self.check(p, text, alpha, beta)
 
 
@@ -337,7 +354,7 @@ class TestFingerprintFilter:
 
 
 class TestExactWindows:
-    """Windows equal to the pattern are decided before the DP."""
+    """Windows equal to the pattern are decided before the walk."""
 
     @staticmethod
     def check(p, text, params):
@@ -353,12 +370,14 @@ class TestExactWindows:
                 assert all(b.kind == "identity" for b in occ.witness)
         return ref
 
+    @small_chunks()
     def test_every_window_exact(self):
-        text = "a" * (3 * CHUNK + 5)
+        text = "a" * (3 * BUDGET + 5)
         for m in (1, 7, 40):
             for params in (maximal_params(m), SearchParams(0, 0)):
                 assert self.check("a" * m, text, params) == list(range(len(text) - m + 1))
 
+    @small_chunks()
     def test_some_windows_exact(self):
         # Exact and rearranged copies of one pattern share each chunk with
         # the other candidates of a binary text.
@@ -368,25 +387,26 @@ class TestExactWindows:
             params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
             p = rand_string(rng, 2, m)
             parts = []
-            for _ in range(CHUNK + 1):
+            for _ in range(BUDGET + 1):
                 parts.append(rand_string(rng, 2, rng.randint(0, m)))
                 parts.append(p if rng.random() < 0.5 else apply_blocks(
                     p, random_block_decomposition(rng, m, params.alpha, params.beta)))
             text = "".join(parts)
-            assert Matcher(text).stats(p, params).candidates > CHUNK
-            assert len(self.check(p, text, params)) > CHUNK
+            assert Matcher(text).stats(p, params).candidates > BUDGET
+            assert len(self.check(p, text, params)) > BUDGET
 
+    @small_chunks()
     def test_periodic_text(self):
         # "ab" repeated: exact windows at even starts, translocated ones at
         # odd starts, alternating within each chunk.
-        text = "ab" * (2 * CHUNK)
+        text = "ab" * (2 * BUDGET)
         assert self.check("ab", text, SearchParams(1, 0)) == list(range(len(text) - 1))
         assert self.check("ab", text, SearchParams(0, 0)) == list(range(0, len(text) - 1, 2))
 
 
 class TestCutTest:
-    """A few rearranged candidates of a long pattern go through the cut test
-    before the DP; planted matches and plain permutations share a text."""
+    """Rearranged candidates of a long pattern walk their chains of cuts;
+    planted matches and plain permutations share a text."""
 
     def test_planted_and_permuted_copies(self):
         rng = random.Random(4242)
@@ -421,9 +441,10 @@ class TestFindMany:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(["ab", "abc", "abcdefgh"]),
            st.integers(0, 2), st.integers(0, 2), st.booleans(), st.booleans())
+    @small_chunks()
     def test_same_as_find_per_pattern(self, seed, letters, a, b, with_witness, dense):
         # Mixed lengths, a duplicate, a permuted copy and a pattern longer
-        # than the text; a dense text holds more than CHUNK candidates of
+        # than the text; a dense text holds more than BUDGET candidates of
         # its first pattern.  alpha and beta are 0, 1 or the maxima.
         # A seeded generator: a dense text would overrun hypothesis's buffer.
         rng = random.Random(seed)
@@ -431,7 +452,7 @@ class TestFindMany:
         patterns = ["".join(rng.choice(letters) for _ in range(m)) for m in lengths]
         if dense:
             p = patterns[0]
-            text = "".join("".join(rng.sample(p, len(p))) for _ in range(2 * CHUNK))
+            text = "".join("".join(rng.sample(p, len(p))) for _ in range(2 * BUDGET))
         else:
             text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 150)))
         s = rng.randint(0, max(0, len(text) - lengths[0]))
@@ -442,7 +463,7 @@ class TestFindMany:
         matcher = Matcher(text)
         self.check(matcher, patterns, params, with_witness)
         if dense:
-            assert matcher.stats(p, params).candidates > CHUNK
+            assert matcher.stats(p, params).candidates > BUDGET
 
     def test_forced_collisions_share_one_key(self, monkeypatch):
         # Every weight equal: the patterns of one length all share one

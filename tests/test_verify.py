@@ -16,7 +16,7 @@ from mdmatch.core import (
     code_points,
 )
 from mdmatch.oracle import oracle_match
-from mdmatch.search import Matcher
+from mdmatch.search import Matcher, scan_candidates
 from mdmatch.verify import verify, verify_with_witness
 
 # The module itself: the package exports a function of the same name.
@@ -133,19 +133,20 @@ class TestVerifyProperties:
                     == verify_with_witness(p, t, s, params))
 
     def test_workspace_size_independent_of_input_length(self, monkeypatch):
-        dp_state = verify_module._dp_state
+        state = verify_module._state
         built = []
 
         def measured(*args):
-            state = dp_state(*args)
-            built.append(sum(a.size for a in state))
-            return state
+            arrays = state(*args)
+            built.append(sum(a.size for a in arrays))
+            return arrays
 
-        monkeypatch.setattr(verify_module, "_dp_state", measured)
+        monkeypatch.setattr(verify_module, "_state", measured)
         rng = random.Random(5)
         sizes = set()
         for m in (64, 512, 4096):
-            # A translocation of the last two symbols: the DP runs all m rows.
+            # A translocation of the last two symbols: the walk crosses all
+            # m rows, one cut per row.
             p = rand_string(rng, 4, m - 2) + "ab"
             built.clear()
             assert verify(p, p[:-2] + "ba", 0, SearchParams(4, 8))
@@ -203,8 +204,8 @@ class TestWitness:
 
     def test_long_windows_past_the_cut_limit(self):
         # A few blocks in a long window leave most prefixes balanced, so the
-        # window has more than CUT_TEST_MAX cuts: the DP decides it and the
-        # witness walks a long chain.
+        # window has many cuts, more than 64: the decider walks a long chain
+        # rank by rank and the witness walks it back.
         rng = random.Random(1011)
         past = 0
         for _ in range(40):
@@ -222,8 +223,7 @@ class TestWitness:
                     blocks.append(Block(IDENTITY, pos))
                 pos += blocks[-1].span
             w = apply_blocks(p, blocks)
-            past += sum(sorted(p[:j]) == sorted(w[:j]) for j in range(1, m + 1)) > \
-                verify_module.CUT_TEST_MAX
+            past += sum(sorted(p[:j]) == sorted(w[:j]) for j in range(1, m + 1)) > 64
             want = witness_reference(p, w, alpha, beta)
             assert want is not None
             assert verify_with_witness(p, w, 0, SearchParams(alpha, beta)) == want
@@ -268,17 +268,18 @@ class TestWitness:
 
 
 def cut_test(p: str, windows: list[str], alpha: int, beta: int) -> list[bool]:
-    """The cut test, verify._chains with CUT_TEST_MAX, on windows given as
-    strings: True where a window is kept."""
-    cols = np.stack([code_points(w) for w in windows], axis=1)
-    chains = verify_module._chains(code_points(p)[::-1], cols[::-1], alpha, beta,
-                                   verify_module.CUT_TEST_MAX)
-    return [chain is None or len(p) in chain for chain in chains]
+    """The decider, verify._decide, on windows given as strings: True where
+    a window's chain of cuts reaches m."""
+    rows = np.stack([code_points(w) for w in windows])
+    return verify_module._decide(code_points(p + p[::-1]), rows, alpha, beta, False)[0].tolist()
 
 
 class TestCutTest:
+    """The decider walks each window's chain of cuts; windows equal to the
+    pattern go through it too here, not only through the exact compare."""
+
     def test_decides_like_enumeration(self):
-        # Within CUT_TEST_MAX cuts the test is the match condition itself.
+        # The chain reaching m is the match condition itself.
         rng = random.Random(2718)
         positives = 0
         for _ in range(1500):
@@ -299,7 +300,7 @@ class TestCutTest:
         assert positives > 200
 
     def test_colliding_weights_keep_every_match(self, monkeypatch):
-        # Equal weights make every prefix a cut: the test loses strength,
+        # Equal weights make every prefix a cut: the walk loses strength,
         # never a match.
         monkeypatch.setattr(verify_module, "symbol_weights",
                             lambda codes: np.zeros(np.shape(codes), dtype=np.uint64))
@@ -316,15 +317,7 @@ class TestCutTest:
             assert (verify_with_witness(p, w, 0, SearchParams(alpha, beta))
                     == witness_reference(p, w, alpha, beta))
 
-    def test_windows_past_the_cut_limit_are_kept(self, monkeypatch):
-        monkeypatch.setattr(verify_module, "CUT_TEST_MAX", 2)
-        # "abcde" against "abdec": cuts at 1, 2 and 5, no block chain.
-        assert not enum_match("abcde", "abdec", 2, 5)
-        assert cut_test("abcde", ["abdec"], 2, 5) == [True]
-        monkeypatch.setattr(verify_module, "CUT_TEST_MAX", 3)
-        assert cut_test("abcde", ["abdec"], 2, 5) == [False]
-
-    def test_shifted_copy_of_a_long_pattern(self, monkeypatch):
+    def test_shifted_copy_of_a_long_pattern(self):
         # The window one to the right of the pattern's own occurrence is a
         # permutation of it when the symbol leaving equals the one entering;
         # it is a rotation, which no block chain gives.
@@ -337,29 +330,60 @@ class TestCutTest:
         params = SearchParams(m // 2, m)
         assert cut_test(p, [p, w], m // 2, m) == [True, False]
         assert not verify(p, text, 1, params)
-        monkeypatch.setattr(verify_module, "CUT_TEST_ROWS", m)
-        assert not verify(p, text, 1, params)  # the DP alone agrees
 
-    def test_chain_to_m_decides_without_the_dp(self, monkeypatch):
-        # A rearranged window of a long pattern with few cuts: its chain
-        # reaches m, so it matches with no _dp call, and its witness is the
-        # chain the cut test walked.
-        calls = []
-        dp = verify_module._dp
-        monkeypatch.setattr(verify_module, "_dp", lambda *a: calls.append(1) or dp(*a))
-        rng = random.Random(65)
-        decided = 0
-        for _ in range(60):
-            m = rng.randint(20, 60)
-            alpha, beta = m // 2, m
-            p = rand_string(rng, 4, m)
+
+def zero_weights(codes):
+    """Weights that make every row a cut."""
+    return np.zeros(np.shape(codes), dtype=np.uint64)
+
+
+class TestManyCuts:
+    """Windows with many cuts: binary and periodic ones, and every row a cut
+    under zero weights, so the walk steps through long runs of ranks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 64),
+           st.sampled_from(["binary", "periodic"]), st.booleans())
+    def test_witness_is_the_reference(self, rng, m, kind, zero):
+        alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
+        if kind == "binary":
+            p = "".join(rng.choice("ab") for _ in range(m))
+        else:
+            p = ("AC" * m)[rng.randint(0, 1):][:m]
+        r = rng.random()
+        if r < 0.5:
             w = apply_blocks(p, random_block_decomposition(rng, m, alpha, beta))
-            if w == p or not cut_test(p, [w], alpha, beta)[0]:
-                continue
-            calls.clear()
-            want = witness_reference(p, w, alpha, beta)
-            assert verify_with_witness(p, w, 0, SearchParams(alpha, beta)) == want
-            assert verify(p, w, 0, SearchParams(alpha, beta))
-            assert calls == []
-            decided += 1
-        assert decided > 40
+        elif kind == "periodic" and r < 0.75:
+            w = ("AC" * m)[rng.randint(0, 1):][:m]
+        else:
+            w = "".join(rng.sample(p, m))
+        params = SearchParams(alpha, beta)
+        text = w + p
+        with pytest.MonkeyPatch.context() as patch:
+            if zero:
+                patch.setattr(verify_module, "symbol_weights", zero_weights)
+            assert verify_with_witness(p, w, 0, params) == witness_reference(p, w, alpha, beta)
+            found = {occ.position: occ.witness
+                     for occ in Matcher(text).find(p, params, with_witness=True)}
+        for s in range(len(text) - m + 1):
+            assert found.get(s) == witness_reference(p, text[s:s + m], alpha, beta)
+
+    def test_one_chunk_mixes_a_periodic_window_with_random_ones(self):
+        # The periodic windows have a cut every other row and the random
+        # candidates a few, so within the one chunk ranks go idle at
+        # different times.
+        rng = random.Random(0x5EED)
+        m = 32
+        p = "AC" * (m // 2)
+        text = ("".join(rng.choice("AC") for _ in range(300)) + "AC" * 40
+                + "".join(rng.choice("AC") for _ in range(300)))
+        cands = scan_candidates(code_points(p), code_points(text)).tolist()
+        assert len(cands) * m <= verify_module.CHUNK
+        periodic = [s for s in cands if text[s:s + m] in (p, p[::-1])]
+        assert len(periodic) > 40 and len(cands) - len(periodic) > 40
+        for alpha, beta in ((m // 2, m), (2, 4), (3, 7), (0, 2)):
+            occs = Matcher(text).find(p, SearchParams(alpha, beta), with_witness=True)
+            found = {occ.position: occ.witness for occ in occs}
+            for s in cands:
+                assert found.get(s) == witness_reference(p, text[s:s + m], alpha, beta)
+            assert set(found) <= set(cands) and set(periodic) <= set(found)
