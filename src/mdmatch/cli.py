@@ -2,9 +2,10 @@
 
 Subcommands: search (match listing as TSV), density (candidate-density
 experiment as CSV), bench (timing experiment as CSV), gen (random text
-files).  Exit codes: 0 success, 1 I/O error, 2 usage error.  The MDMATCH_SEED
-environment variable supplies a default seed; explicit flags win, and a
-malformed value is a usage error.
+files).  Exit codes: 0 success, 1 I/O error, 2 usage error, 3 malformed
+data (a text or FASTA pattern file that read_fasta rejects).  MDMATCH_SEED
+supplies a default seed; explicit flags win, and a malformed value is a
+usage error.
 """
 
 from __future__ import annotations
@@ -40,9 +41,15 @@ def _params_for(m: int, alpha: int | None, beta: int | None) -> SearchParams:
     return normalize_params(params, m)
 
 
-def _load_records(path: str, raw: bool):
-    with open(path, "rb") as fh:
-        return read_fasta(fh, raw=raw)
+def _load_records(source, parser, raw: bool = False):
+    """read_fasta of a file path or of bytes; data it rejects exits 3."""
+    try:
+        if isinstance(source, bytes):
+            return read_fasta(source, raw=raw)
+        with open(source, "rb") as fh:
+            return read_fasta(fh, raw=raw)
+    except ValueError as exc:
+        parser.exit(3, f"error: {exc}\n")
 
 
 def _load_patterns(args, parser) -> list[str]:
@@ -56,7 +63,7 @@ def _load_patterns(args, parser) -> list[str]:
         if args.raw:
             # FASTA upper-cases and rejects bytes >= 0x80; raw patterns are verbatim.
             parser.error("--raw takes a pattern file of one pattern per line, not FASTA")
-        return [rec.data for rec in read_fasta(data)]
+        return [rec.data for rec in _load_records(data, parser)]
     return [line.strip().decode("latin-1")
             for line in data.splitlines() if line.strip()]
 
@@ -69,7 +76,7 @@ def _experiment_text(args, parser) -> tuple[str, int]:
             return gen_random_text(n, sigma, seed), sigma
         except ValueError as exc:
             parser.error(str(exc))
-    records = _load_records(args.text_file, raw=False)
+    records = _load_records(args.text_file, parser)
     if len(records) > 1:
         print(f"note: using first of {len(records)} records", file=sys.stderr)
     text = records[0].data
@@ -83,7 +90,7 @@ def cmd_search(args, parser) -> int:
     if not args.raw:
         # read_fasta upper-cases sequence data; fold patterns the same way
         patterns = [p.upper() for p in patterns]
-    records = _load_records(args.text_file, raw=args.raw)
+    records = _load_records(args.text_file, parser, args.raw)
     # find_many clamps one set of bounds to each length; the longest
     # pattern's maxima do for every shorter one.
     longest = max(map(len, patterns))

@@ -1,7 +1,7 @@
 """Data acquisition for experiments: FASTA and raw-text readers, seeded
 uniform random text generation, and pattern extraction.  The FASTA reader
 splits its input into records on header lines, the lines that start with
-'>', and does a fixed number of bytes operations per record."""
+'>', and parses each record's sequence with one bytes.translate."""
 
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ SYMBOL_TABLE = _PRINTABLE64 + "".join(chr(0x100 + k) for k in range(192))
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _SEQUENCE_BYTES = bytes(range(0x21, 0x7F)) + _WHITESPACE
+# Printable bytes upper-cased, every other byte (after _WHITESPACE) to 0x00.
+_UPPER = bytes(b if 0x21 <= b < 0x7F else 0 for b in range(256)).upper()
 
 
 @dataclass(frozen=True)
@@ -29,24 +31,19 @@ class SequenceRecord:
 
 
 def _read_bytes(source) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, str):
-        return source.encode("latin-1")
-    data = source.read()
-    if isinstance(data, str):
-        return data.encode("latin-1")
-    return data
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    return data.encode("latin-1") if isinstance(data, str) else data
 
 
 def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     """Parse FASTA or headerless text into sequence records.
 
-    Default mode accepts '>'-headed FASTA (one record per header, sequence
-    lines concatenated, whitespace dropped, symbols upper-cased) and treats
-    sequence lines before the first header as a single anonymous record;
-    blank lines there open no record.  raw=True returns the bytes verbatim
-    as one record, except for one trailing newline removed.
+    Default mode accepts '>'-headed FASTA (one record per header; one
+    translate joins its sequence lines, drops whitespace, upper-cases and
+    marks any other byte, which raises ValueError with its offset) and
+    treats sequence lines before the first header as a single anonymous
+    record; blank lines there open no record.  raw=True returns the bytes
+    verbatim as one record, except for one trailing newline removed.
 
     source is bytes, a binary or text file object, or a str.  A str is the
     data itself, encoded as latin-1, not a path: read_fasta("w.txt")
@@ -71,15 +68,15 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
         # with the added b"\n", so its header is empty.  Every later chunk is
         # one header line, '>' removed, and its sequence lines.
         header, _, seq = chunk.partition(b"\n")
-        bad = seq.translate(None, delete=_SEQUENCE_BYTES)
-        if bad:
+        out = seq.translate(_UPPER, delete=_WHITESPACE)
+        if 0 in out:
+            bad = seq.translate(None, delete=_SEQUENCE_BYTES)
             # seq starts one byte past the header; data lacks the added b"\n"
             offset = start + len(header) + seq.index(bad[0])
             raise ValueError(f"non-printable byte 0x{bad[0]:02x} at offset {offset}")
-        seq = seq.translate(None, delete=_WHITESPACE)
-        if k or seq:
+        if k or out:
             records.append(SequenceRecord(header.strip().decode("latin-1"),
-                                          seq.upper().decode("ascii")))
+                                          out.decode("ascii")))
         start += len(chunk) + 2
     return records
 

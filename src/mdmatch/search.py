@@ -47,11 +47,20 @@ def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
     fingerprint prefix[s+m] - prefix[s] (also wrapping).  A sum does not
     depend on order, so windows with equal histograms have equal
     fingerprints; the converse can fail, and scan_group checks it.
+
+    Codes all in [0, 256), as in FASTA and --raw texts, are looked up in a
+    weight table written straight into the prefix, derived on each call so
+    it holds no state and agrees with symbol_weights; others take that formula.
     """
     codes = np.asarray(codes)
     prefix = np.zeros(len(codes) + 1, dtype=np.uint64)
+    table = symbol_weights(np.arange(256))
+    in_table = len(codes) and codes.min() >= 0 and codes.max() < 256
     for i in range(0, len(codes), _SLICE):
-        prefix[1 + i:1 + i + _SLICE] = symbol_weights(codes[i:i + _SLICE])
+        if in_table:  # mode="raise" would buffer out
+            np.take(table, codes[i:i + _SLICE], out=prefix[1 + i:1 + i + _SLICE], mode="clip")
+        else:
+            prefix[1 + i:1 + i + _SLICE] = symbol_weights(codes[i:i + _SLICE])
     np.cumsum(prefix[1:], out=prefix[1:])
     return prefix
 

@@ -198,6 +198,45 @@ class TestSearch:
         assert out == "0\tr\t2\n"
 
 
+class TestDataErrors:
+    """A text or FASTA pattern file that read_fasta rejects exits 3, with
+    read_fasta's message and no output."""
+
+    @staticmethod
+    def check(capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err
+
+    def test_nul_byte_in_text_names_its_offset(self, tmp_path, capsys):
+        text = tmp_path / "t.fa"
+        text.write_bytes(b">r\nAC\x00GT\n")
+        self.check(capsys, ["search", "-p", "AC", str(text)],
+                   "non-printable byte 0x00 at offset 5")
+
+    @pytest.mark.parametrize("data, raw", [(b"", False), (b" \n\t\n", False), (b"", True)])
+    def test_empty_text(self, tmp_path, capsys, data, raw):
+        text = tmp_path / "t.fa"
+        text.write_bytes(data)
+        self.check(capsys, ["search", *(["--raw"] if raw else []), "-p", "AC", str(text)],
+                   "no sequences")
+
+    def test_high_byte_in_fasta_pattern_file(self, tmp_path, capsys):
+        text, pats = tmp_path / "t.fa", tmp_path / "p.fa"
+        text.write_bytes(b">r\nACGT\n")
+        pats.write_bytes(b">p\nA\xffC\n")
+        self.check(capsys, ["search", "--pattern-file", str(pats), str(text)],
+                   "non-printable byte 0xff at offset 4")
+
+    def test_density_text_file_with_a_bad_byte(self, tmp_path, capsys):
+        text = tmp_path / "t.fa"
+        text.write_bytes(b"ACGT" * 50 + b"\x7f" + b"ACGT" * 50)
+        self.check(capsys, ["density", "--text-file", str(text), "-m", "4", "--count", "5"],
+                   "non-printable byte 0x7f at offset 200")
+
+
 class TestDensity:
     def test_random_text_csv(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--random", "2000", "4", "1",

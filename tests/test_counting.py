@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_string, random_block_decomposition
-from mdmatch.core import apply_blocks, code_points
+from mdmatch.core import apply_blocks, code_points, symbol_weights
+from mdmatch.ingest import gen_random_text
 from mdmatch.oracle import advance, init_counts, rolling_deltas
 from mdmatch.search import fingerprint_prefix, scan_candidates, scan_group
 
@@ -224,6 +225,41 @@ class TestFingerprint:
                       | st.lists(st.sampled_from(pool), min_size=m, max_size=m))
         got = scan_candidates(np.array(p, dtype=np.int32), np.array(t, dtype=np.int32))
         assert got.tolist() == _rolling_candidates(p, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_table_and_formula_paths_agree(self, data):
+        # Codes in [0, 256) take the weight table, any other code sends the
+        # whole text through symbol_weights; both must give the wrapping
+        # prefix sums of symbol_weights, at any slice size.
+        search = importlib.import_module("mdmatch.search")
+        byte = st.integers(0, 255)
+        other = st.integers(256, 0x10FFFF) | st.integers(-2**31, -1) | st.integers(2**32, 2**62)
+        codes = data.draw(st.lists(byte, max_size=40)
+                          | st.lists(byte | other, max_size=40).filter(
+                                lambda c: any(not 0 <= x < 256 for x in c)))
+        arr = np.array(codes, dtype=np.int64)
+        sums = [0]
+        for w in symbol_weights(arr).tolist():
+            sums.append((sums[-1] + w) % 2**64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_SLICE", data.draw(st.sampled_from([1, 2, 7, 1 << 15])))
+            assert fingerprint_prefix(arr).tolist() == sums
+
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_prefix_build_allocates_one_prefix(self, n):
+        # The prefix and a slice of indices (np.take converts them to intp);
+        # no text-sized or slice-sized uint64 temporary.
+        search = importlib.import_module("mdmatch.search")
+        t = code_points(gen_random_text(n, 64, 5))
+        fingerprint_prefix(t)
+        tracemalloc.start()
+        try:
+            fingerprint_prefix(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n + 1) + 8 * search._SLICE + 16 * 1024
 
     def test_memory_bounded_when_every_window_hits(self):
         t = code_points("A" * 200_000)

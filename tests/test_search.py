@@ -352,6 +352,19 @@ class TestFingerprintFilter:
             matcher = Matcher(t)
             assert positions(matcher.find(p, params)) == positions(naive_search(p, t, params))
 
+    def test_code_point_above_255_takes_the_formula_path(self):
+        # One symbol past U+00FF sends the whole text through symbol_weights
+        # instead of the byte table; the patterns are weighed the same way.
+        rng = random.Random(1409)
+        for _ in range(100):
+            n = rng.randint(1, 60)
+            t = "".join(rng.choice("AB\xffĀ") for _ in range(n))
+            m = rng.randint(1, min(n, 8))
+            s = rng.randint(0, n - m)
+            p = t[s:s + m] if rng.random() < 0.5 else "".join(rng.choice("ABĀ") for _ in range(m))
+            params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
+            assert positions(Matcher(t).find(p, params)) == positions(naive_search(p, t, params))
+
 
 class TestExactWindows:
     """Windows equal to the pattern are decided before the walk."""
