@@ -5,9 +5,9 @@ by their Unicode code points (core.code_points) from text to verifier.
 
 Matcher (search.py) is the one search path: its filter is
 search.scan_group, one fingerprint pass over the text for the patterns of
-one length (scan_candidates is its one-pattern case), and its verifier is
-verify.verify_windows.  The slow references it is tested against, the
-paper's rolling filter (rolling_deltas) included, live in oracle.py."""
+one length (scan_candidates is its one-pattern case), and its verifier,
+verify.verify_windows, decides all their candidates together.  The slow
+references it is tested against, rolling_deltas included, are in oracle.py."""
 
 from .core import (
     Block,

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 
 from .core import SearchParams, normalize_params
-from .ingest import extract_patterns, gen_random_text, read_fasta
+from .ingest import check_sequence_bytes, extract_patterns, gen_random_text, read_fasta
 from .oracle import permutation_probability
 from .search import Matcher
 
@@ -52,11 +52,24 @@ def _load_records(source, parser, raw: bool = False):
         parser.exit(3, f"error: {exc}\n")
 
 
+def _check_printable(data: bytes, parser) -> None:
+    """Patterns outside --raw hold what a FASTA sequence may; a byte that
+    read_fasta rejects exits 3, as in a text."""
+    try:
+        check_sequence_bytes(data)
+    except ValueError as exc:
+        parser.exit(3, f"error: {exc}\n")
+
+
 def _load_patterns(args, parser) -> list[str]:
     if args.pattern is not None:
         # argv arrives decoded with the file-system encoding; a --raw text is
         # decoded as latin-1, so the pattern's bytes must be too.
-        return [os.fsencode(args.pattern).decode("latin-1") if args.raw else args.pattern]
+        data = os.fsencode(args.pattern)
+        if args.raw:
+            return [data.decode("latin-1")]
+        _check_printable(data, parser)
+        return [args.pattern]
     with open(args.pattern_file, "rb") as fh:
         data = fh.read()
     if data.lstrip().startswith(b">"):
@@ -64,6 +77,8 @@ def _load_patterns(args, parser) -> list[str]:
             # FASTA upper-cases and rejects bytes >= 0x80; raw patterns are verbatim.
             parser.error("--raw takes a pattern file of one pattern per line, not FASTA")
         return [rec.data for rec in _load_records(data, parser)]
+    if not args.raw:
+        _check_printable(data, parser)
     return [line.strip().decode("latin-1")
             for line in data.splitlines() if line.strip()]
 

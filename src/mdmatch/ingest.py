@@ -62,23 +62,40 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     if not data.strip():
         raise ValueError("no sequences")
     records: list[SequenceRecord] = []
-    start = 0  # the chunk's offset in b"\n" + data
-    for k, chunk in enumerate((b"\n" + data).split(b"\n>")):
-        # Chunk 0 is the text before the first header; it is empty or starts
-        # with the added b"\n", so its header is empty.  Every later chunk is
-        # one header line, '>' removed, and its sequence lines.
-        header, _, seq = chunk.partition(b"\n")
+    for k, (header, seq, start) in enumerate(_split_records(data)):
         out = seq.translate(_UPPER, delete=_WHITESPACE)
         if 0 in out:
-            bad = seq.translate(None, delete=_SEQUENCE_BYTES)
-            # seq starts one byte past the header; data lacks the added b"\n"
-            offset = start + len(header) + seq.index(bad[0])
-            raise ValueError(f"non-printable byte 0x{bad[0]:02x} at offset {offset}")
+            check_sequence_bytes(seq, start)
         if k or out:
             records.append(SequenceRecord(header.strip().decode("latin-1"),
                                           out.decode("ascii")))
-        start += len(chunk) + 2
     return records
+
+
+def check_sequence_bytes(seq: bytes, start: int = 0) -> None:
+    """Raise ValueError naming the first byte of seq that a sequence may not
+    hold, if any, and its offset, start plus its index in seq."""
+    bad = seq.translate(None, delete=_SEQUENCE_BYTES)
+    if bad:
+        raise ValueError(f"non-printable byte 0x{bad[0]:02x} at offset "
+                         f"{start + seq.index(bad[0])}")
+
+
+def _split_records(data: bytes) -> list[tuple[bytes, bytes, int]]:
+    """(header, sequence lines, their offset in data) per part of
+    (b"\n" + data).split(b"\n>"), the headerless text before the first header
+    line first.  Header '>'s, at 0 or after a newline, are found by memchr."""
+    heads, i = [], data.find(b">")
+    while i >= 0:
+        if not i or data[i - 1] == 0x0A:
+            heads.append(i)
+        i = data.find(b"\n", i)  # no later '>' of this line opens a header
+        i = data.find(b">", i) if i >= 0 else -1
+    out = [(b"", data[:max(heads[0] - 1, 0)] if heads else data, 0)]
+    for h, end in zip(heads, [j - 1 for j in heads[1:]] + [len(data)]):
+        header, _, seq = data[h + 1:end].partition(b"\n")
+        out.append((header, seq, h + 2 + len(header)))
+    return out
 
 
 def gen_random_text(n: int, sigma: int, seed: int) -> str:

@@ -1,6 +1,6 @@
 """Filter-and-verify search: candidate positions from the counting filter,
-confirmed by the verifier's walk along each window's chain of cuts.
-Includes a verify-everywhere baseline for benchmarking.
+confirmed by the verifier's walk along each window's chain of cuts, one
+length's patterns together.  Includes a verify-everywhere baseline.
 
 The filter keeps the windows that are permutations of the pattern, a
 necessary condition for a match under translocations and inversions.  It
@@ -178,12 +178,6 @@ class Matcher:
         params = normalize_params(params or maximal_params(m), m)
         return m, params, code_points(pattern)
 
-    def _verified(self, p_arr, cands: np.ndarray, params: SearchParams,
-                  with_witness: bool) -> Iterator[Occurrence]:
-        for s, witness in verify_windows(p_arr, self._t_arr, cands, params,
-                                         witness=with_witness):
-            yield Occurrence(s, witness)
-
     def iter_find(self, pattern: str, params: SearchParams | None = None,
                   with_witness: bool = False) -> Iterator[Occurrence]:
         """Yield occurrences in increasing position order (streaming)."""
@@ -191,7 +185,9 @@ class Matcher:
         if m > len(self.text):
             return
         cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
-        yield from self._verified(p_arr, cands, params, with_witness)
+        found = verify_windows(p_arr[None], self._t_arr, cands, np.zeros(len(cands), np.intp),
+                               params, with_witness)
+        yield from (Occurrence(s, witness) for _, s, witness in found)
 
     def find(self, pattern: str, params: SearchParams | None = None,
              with_witness: bool = False) -> list[Occurrence]:
@@ -201,7 +197,8 @@ class Matcher:
                   with_witness: bool = False) -> list[list[Occurrence]]:
         """find for each pattern, in the order given; params is normalized
         for each pattern's length.  The patterns of one length share one
-        filter pass over the text (scan_group)."""
+        filter pass over the text (scan_group), and their candidates are
+        verified together, one decider run per chunk (verify_windows)."""
         by_length: dict[int, list[int]] = {}
         for i, pattern in enumerate(patterns):
             by_length.setdefault(len(pattern), []).append(i)
@@ -210,10 +207,12 @@ class Matcher:
             norm = normalize_params(params or maximal_params(m), m)  # raises when m == 0
             if m > len(self.text):
                 continue
-            rows = code_points("".join(patterns[i] for i in ids)).reshape(len(ids), m)
-            for i, row, cands in zip(ids, rows, scan_group(rows, self._t_arr,
-                                                           self._fingerprints())):
-                found[i] = list(self._verified(row, cands, norm, with_witness))
+            group = code_points("".join(patterns[i] for i in ids)).reshape(len(ids), m)
+            cands = scan_group(group, self._t_arr, self._fingerprints())
+            rows = np.arange(len(ids)).repeat([len(c) for c in cands])
+            for r, s, witness in verify_windows(group, self._t_arr, np.concatenate(cands), rows,
+                                                norm, with_witness):
+                found[ids[r]].append(Occurrence(s, witness))
         return found
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
@@ -222,8 +221,8 @@ class Matcher:
         n = len(self.text)
         if m > n:
             return []
-        return [Occurrence(s) for s, _ in
-                verify_windows(p_arr, self._t_arr, range(n - m + 1), params)]
+        return [Occurrence(s) for _, s, _ in verify_windows(
+            p_arr[None], self._t_arr, np.arange(n - m + 1), np.zeros(n - m + 1, np.intp), params)]
 
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
         """Candidate and match counts for one scan of the text."""
@@ -232,7 +231,8 @@ class Matcher:
         if m > n:
             return SearchStats(0, 0, 0)
         cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
-        matches = sum(1 for _ in verify_windows(p_arr, self._t_arr, cands, params))
+        matches = sum(1 for _ in verify_windows(p_arr[None], self._t_arr, cands,
+                                                np.zeros(len(cands), np.intp), params))
         return SearchStats(candidates=len(cands), matches=matches,
                            positions_scanned=n - m + 1)
 

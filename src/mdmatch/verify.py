@@ -16,15 +16,16 @@ iff m is reached, and its witness is walked back from m along the codes of
 the cuts that reached it: that order is the witness tie-break.
 
 One decider (_decide) walks every window of a chunk that is not equal to
-the pattern; an equal one matches by one compare over the chunk, with the
-all-identity witness.  It advances cut rank j of every window together, a
-few numpy calls per step, and from a cut walks back over reached cuts only,
-at most L = max(2*alpha, beta) rows.  Deciding, it stops a cut at its first
-valid block, since that choice does not change which cuts are reached.  It
-finds cuts and identity bits ROWS rows at a time and drops a window with no
+its pattern, on a table row that holds the window and then its pattern; an
+equal one matches by one compare, with the all-identity witness.  It
+advances cut rank j of every window together, a few numpy calls per step,
+and from a cut walks back over reached cuts only, at most
+L = max(2*alpha, beta) rows.  Deciding, it stops a cut at its first valid
+block, since that choice does not change which cuts are reached.  It finds
+cuts and identity bits ROWS rows at a time and drops a window with no
 reached cut in the last L rows.  A row slice with more cut ranks than
-windows, such as a lone long window's, is first walked whole from the cuts
-reached before it, so a run of unreachable cuts costs one step.
+windows with cuts, such as a lone long window's, is first walked whole from
+the cuts reached before it, so a run of unreachable cuts costs one step.
 
 Cost per window: at most m cuts, each tested from at most L reached cuts by
 a compare of at most L symbols, so O(m * L^2) time in the worst case (a
@@ -69,12 +70,12 @@ def _state(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return back, np.zeros(n, dtype=np.uint64)
 
 
-def _decide(pp: np.ndarray, w: np.ndarray, alpha: int, beta: int,
-            witness: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The mask of the windows, the rows of the C-contiguous w, that match
-    the pattern followed by its reverse pp, and with witness each window's
-    codes by cut (see _blocks)."""
-    n, m = w.shape
+def _decide(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, alpha: int,
+            beta: int, witness: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The mask of the windows that match their patterns, and with witness
+    each window's codes by cut (see _blocks).  Row i of the C-contiguous
+    table is window i then its pattern, whose weights are weights[rows[i]]."""
+    n, m = table.shape[0], table.shape[1] // 2
     horizon = max(2 * alpha, beta, 1)
     back, acc = _state(n, horizon)
     # Whether a translocation (row 0) and an inversion (row 1) may span s rows.
@@ -89,27 +90,25 @@ def _decide(pp: np.ndarray, w: np.ndarray, alpha: int, beta: int,
             live = live[r0 + 1 - back[live, 0] <= horizon]
             if not len(live):
                 break
-        _slice(w, pp, back, acc, codes, kinds, alpha, witness, live, r0)
+        _slice(table, rows, weights, back, acc, codes, kinds, alpha, witness, live, r0)
     return back[:, 0] == m, codes
 
 
-def _slice(w: np.ndarray, pp: np.ndarray, back: np.ndarray, acc: np.ndarray,
-           codes: np.ndarray | None, kinds: np.ndarray, alpha: int, witness: bool,
-           live: np.ndarray, r0: int) -> None:
+def _slice(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, back: np.ndarray,
+           acc: np.ndarray, codes: np.ndarray | None, kinds: np.ndarray, alpha: int,
+           witness: bool, live: np.ndarray, r0: int) -> None:
     """Walk the cuts of the live windows in the ROWS rows from r0, recording
     each reached cut in back and, with witness, its code in codes."""
-    m = w.shape[1]
-    r1 = min(r0 + ROWS, m)
-    row, at, ident = _cuts(w[live, r0:r1], pp[r0:r1], acc, live, r0, r1 == m)
+    row, win, at, ident = _cuts(table, rows, weights, acc, live, r0)
     if not len(row):
         return
-    flat = w.ravel()
-    win = live[row]
-    if np.bincount(row).max() > len(live):
-        # More ranks than windows: walk every cut at once from the cuts
-        # reached before the slice.  A window's answers stand up to its
-        # first reached cut; the cuts after it go rank by rank.
-        code = _walk(flat, pp, back, win, at, ident, kinds, alpha, witness)
+    flat, m = table.ravel(), table.shape[1] // 2
+    ranks = np.bincount(row)
+    if ranks.max() > np.count_nonzero(ranks):
+        # More ranks than windows with cuts: walk every cut at once from
+        # the cuts reached before the slice.  A window's answers stand up
+        # to its first reached cut; the cuts after it go rank by rank.
+        code = _walk(flat, m, back, win, at, ident, kinds, alpha, witness)
         hit = (code != -1).nonzero()[0]
         if not len(hit):
             return
@@ -125,30 +124,34 @@ def _slice(w: np.ndarray, pp: np.ndarray, back: np.ndarray, acc: np.ndarray,
     lo = 0
     for hi in np.add.accumulate(np.bincount(rank)).tolist():
         c, b = win[lo:hi], at[lo:hi]
-        code = _walk(flat, pp, back, c, b, ident[lo:hi], kinds, alpha, witness)
+        code = _walk(flat, m, back, c, b, ident[lo:hi], kinds, alpha, witness)
         lo = hi
         _reach(back, codes, c, b, code, (code != -1).nonzero()[0])
 
 
-def _cuts(ws: np.ndarray, ps: np.ndarray, acc: np.ndarray, live: np.ndarray, r0: int,
-          final: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cut of the live windows' row slice ws from row r0, in window
-    order: the window's index in live, the cut b and whether w[b-1] ==
-    p[b-1], p's slice being ps.  acc, each window's weight-sum difference to
-    p, is moved from the slice's start to its end, unless the slice is final."""
-    # Row 0 weighs the pattern: a cut is a zero of the running difference.
-    diff = symbol_weights(np.concatenate((ps[None], ws)))
-    diff = diff[1:] - diff[0]
+def _cuts(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, acc: np.ndarray,
+          live: np.ndarray, r0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per cut b of the live windows in the ROWS rows from r0, in window
+    order: the window's index in live, the window, b and whether w[b-1] ==
+    p[b-1].  acc, each window's weight-sum difference to its pattern, is
+    moved from the slice's start to its end, unless the slice is the last."""
+    m = table.shape[1] // 2
+    r1 = min(r0 + ROWS, m)
+    ws = table[live, r0:r1]
+    # A cut is a zero of the running difference to the pattern's weights.
+    diff = symbol_weights(ws)
+    diff -= weights[rows[live], r0:r1]
     np.add.accumulate(diff, axis=1, out=diff)
     if r0:
         diff += acc[live, None]
     cut = diff == 0
-    if final:
+    if r1 == m:
         cut &= cut[:, -1:]  # a window with no cut at m cannot match
     else:
         acc[live] = diff[:, -1]
     row, col = cut.nonzero()
-    return row, col + (r0 + 1), ws[row, col] == ps[col]
+    win, at = live[row], col + (r0 + 1)
+    return row, win, at, ws[row, col] == table[win, at + (m - 1)]
 
 
 def _reach(back: np.ndarray, codes: np.ndarray | None, c: np.ndarray, b: np.ndarray,
@@ -161,16 +164,16 @@ def _reach(back: np.ndarray, codes: np.ndarray | None, c: np.ndarray, b: np.ndar
         codes[c, b] = code[hit]
 
 
-def _walk(flat: np.ndarray, pp: np.ndarray, back: np.ndarray, c: np.ndarray,
-          b: np.ndarray, ident: np.ndarray, kinds: np.ndarray, alpha: int,
-          witness: bool) -> np.ndarray:
+def _walk(flat: np.ndarray, m: int, back: np.ndarray, c: np.ndarray, b: np.ndarray,
+          ident: np.ndarray, kinds: np.ndarray, alpha: int, witness: bool) -> np.ndarray:
     """Per window c at cut b, with ident saying whether w[b-1] == p[b-1],
     the code of the block that reaches b from a reached cut of c in back
     (see _blocks), or -1 where none does.  Reached cuts are walked back
     nearest first, so the first valid blocks are the shortest.  Deciding, a
     window stops at its first valid block; for a witness, one with an
-    inversion goes on, within 2 * alpha rows, for a translocation."""
-    m = len(pp) // 2
+    inversion goes on, within 2 * alpha rows, for a translocation.  flat is
+    the table raveled: window symbol flat[x] has pattern symbol pat[x]."""
+    pat, pat1 = flat[m:], flat[m - 1:]  # pat1[x + s - o] is pat[x + s - 1 - o]
     horizon = back.shape[1]
     at = np.arange(len(c))  # the windows still walking back
     a = back[c, 0]
@@ -198,15 +201,16 @@ def _walk(flat: np.ndarray, pp: np.ndarray, back: np.ndarray, c: np.ndarray,
         # window's own symbols.
         span = s[:, None]
         o = np.arange(s.max()) % span
-        block = flat[(c * m + a)[:, None] + o]
+        x = c * (2 * m) + a
+        block = flat[x[:, None] + o]
         if n_iv:
-            iv &= (block == pp[(2 * m - b)[:, None] + o]).all(1)
+            iv &= (block == pat1[(x + s)[:, None] - o]).all(1)
             if np.count_nonzero(iv):
                 iv = iv.nonzero()[0]
                 code[at[iv]] = -s[iv]
                 limit[iv] = 2 * alpha if witness else 0
         if n_tr:
-            tr &= (block == pp[a[:, None] + (o + span // 2) % span]).all(1)
+            tr &= (block == pat[x[:, None] + (o + span // 2) % span]).all(1)
             if np.count_nonzero(tr):
                 tr = tr.nonzero()[0]
                 code[at[tr]] = s[tr] // 2
@@ -214,31 +218,36 @@ def _walk(flat: np.ndarray, pp: np.ndarray, back: np.ndarray, c: np.ndarray,
     return code
 
 
-def _advance(pp: np.ndarray, t_arr: np.ndarray, starts: np.ndarray, params: SearchParams,
-             witness: bool) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
-    """Decide the windows t_arr[s:s+m] for s in starts, pp being the pattern
-    followed by its reverse.  Yields (s, blocks) for the matching windows in
-    the order of starts."""
-    m = len(pp) // 2
-    w = t_arr[starts[:, None] + np.arange(m)]
-    # A window equal to the pattern matches by identity alone, which is also
+def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: np.ndarray,
+             weights: np.ndarray | None, params: SearchParams,
+             witness: bool) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
+    """Decide the windows t_arr[s:s+m] for s in starts, window i against
+    row rows[i] of patterns, and yield (row, s, blocks) for the matching
+    ones in order; return the patterns' weights, computed if None and needed."""
+    m = patterns.shape[1]
+    w, p = t_arr[starts[:, None] + np.arange(m)], patterns.take(rows, axis=0)
+    # A window equal to its pattern matches by identity alone, which is also
     # the witness the tie-break gives it, so it skips the walk.
-    exact = (w == pp[:m]).all(1)
+    exact = (w == p).all(1)
     matched = exact.copy()
     rest = (~exact).nonzero()[0]
     codes = None
     if len(rest):
-        found, codes = _decide(pp, w if len(rest) == len(w) else w[rest],
-                               params.alpha, params.beta, witness)
+        if weights is None:
+            weights = symbol_weights(patterns)
+        found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest],
+                               weights, params.alpha, params.beta, witness)
         matched[rest[found]] = True
     hits = matched.nonzero()[0]
-    if not witness:
-        for s in starts[hits].tolist():
-            yield s, None
-        return
-    row = np.cumsum(~exact) - 1  # window -> its row of codes
-    for c in hits.tolist():
-        yield int(starts[c]), _identity(m) if exact[c] else _blocks(codes[row[c]].tolist(), m)
+    if witness:
+        slot = np.cumsum(~exact) - 1  # window -> its row of codes
+        for c in hits.tolist():
+            yield (int(rows[c]), int(starts[c]),
+                   _identity(m) if exact[c] else _blocks(codes[slot[c]].tolist(), m))
+    else:
+        for r, s in zip(rows[hits].tolist(), starts[hits].tolist()):
+            yield r, s, None
+    return weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -270,25 +279,25 @@ def _codes(seq: Sequence) -> np.ndarray:
     return code_points(seq) if isinstance(seq, str) else np.asarray(seq)
 
 
-def verify_windows(pattern: Sequence, text: Sequence, starts: Sequence[int] | np.ndarray,
-                   params: SearchParams,
-                   witness: bool = False) -> Iterator[tuple[int, tuple[Block, ...] | None]]:
-    """Yield (s, blocks) for each start s whose window text[s:s+m] matches.
+def verify_windows(patterns: np.ndarray, text: Sequence, starts: Sequence[int] | np.ndarray,
+                   rows: Sequence[int] | np.ndarray, params: SearchParams,
+                   witness: bool = False) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
+    """Yield (r, s, blocks), in order, for each s = starts[i] whose window
+    text[s:s+m] matches row r = rows[i] of patterns, a (k, m) code array.
 
-    The one entry to the verifier: starts, an array of window starts, are
-    taken CHUNK window symbols at a time and each chunk is decided by one
-    decider run.  Pattern and text are symbol strings, which are coded here
-    by code point, or integer codes of one coding (Matcher passes code-point
-    arrays).  blocks is the witness when one is asked for, else None.
-    params must be normalized for len(pattern).
-    """
-    m = len(pattern)
-    p_arr, t_arr = _codes(pattern), _codes(text)
-    pp = np.concatenate((p_arr, p_arr[::-1]))
-    starts = np.asarray(starts, dtype=np.intp)
-    step = max(1, CHUNK // m)
+    The one entry to the verifier: starts are taken CHUNK window symbols at
+    a time, whatever their rows, and each chunk is decided by one decider
+    run.  text is a symbol string, coded here by code point, or integer
+    codes of the patterns' coding (Matcher passes code-point arrays).
+    blocks is the witness when one is asked for, else None.  params must be
+    normalized for m."""
+    patterns, t_arr = np.asarray(patterns), _codes(text)
+    starts, rows = np.asarray(starts), np.asarray(rows)
+    weights = None  # computed for the first chunk that walks a window
+    step = max(1, CHUNK // patterns.shape[1])
     for i in range(0, len(starts), step):
-        yield from _advance(pp, t_arr, starts[i:i + step], params, witness)
+        weights = yield from _advance(t_arr, starts[i:i + step], rows[i:i + step], patterns,
+                                      weights, params, witness)
 
 
 def _check_call(pattern: Sequence, text: Sequence, s: int,
@@ -308,7 +317,7 @@ def verify(pattern: Sequence, text: Sequence, s: int,
     Accepts symbol strings or integer code sequences.
     """
     params = _check_call(pattern, text, s, params)
-    return next(verify_windows(pattern, text, (s,), params), None) is not None
+    return next(verify_windows(_codes(pattern)[None], text, (s,), (0,), params), None) is not None
 
 
 def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
@@ -319,6 +328,6 @@ def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
     the shortest inversion, so output is deterministic.
     """
     params = _check_call(pattern, text, s, params)
-    for _, blocks in verify_windows(pattern, text, (s,), params, witness=True):
+    for _, _, blocks in verify_windows(_codes(pattern)[None], text, (s,), (0,), params, True):
         return blocks
     return None

@@ -199,8 +199,9 @@ class TestSearch:
 
 
 class TestDataErrors:
-    """A text or FASTA pattern file that read_fasta rejects exits 3, with
-    read_fasta's message and no output."""
+    """A text or FASTA pattern file that read_fasta rejects, or outside --raw
+    a pattern holding a byte it rejects, exits 3, with read_fasta's message
+    and no output."""
 
     @staticmethod
     def check(capsys, argv, message):
@@ -229,6 +230,20 @@ class TestDataErrors:
         pats.write_bytes(b">p\nA\xffC\n")
         self.check(capsys, ["search", "--pattern-file", str(pats), str(text)],
                    "non-printable byte 0xff at offset 4")
+
+    def test_bad_byte_in_command_line_patterns(self, tmp_path, capsys):
+        # Outside --raw, a pattern holds what a FASTA sequence may; the
+        # offset of a pattern file's byte is in the file.
+        text, pats = tmp_path / "t.fa", tmp_path / "p.txt"
+        text.write_bytes(b">r\nA\x01CACGT\n")
+        pats.write_bytes(b"ACGT\nA\x01C\n")
+        self.check(capsys, ["search", "-p", "A\x01C", str(text)],
+                   "non-printable byte 0x01 at offset 1")
+        self.check(capsys, ["search", "--pattern-file", str(pats), str(text)],
+                   "non-printable byte 0x01 at offset 6")
+        # Verbatim under --raw, where the text holds the byte too.
+        code, out, _ = run_cli(capsys, "search", "--raw", "-p", "A\x01C", str(text))
+        assert code == 0 and out == "0\t\t3\n"
 
     def test_density_text_file_with_a_bad_byte(self, tmp_path, capsys):
         text = tmp_path / "t.fa"

@@ -11,6 +11,7 @@ from mdmatch.ingest import (
     SYMBOL_TABLE,
     SequenceRecord,
     extract_patterns,
+    _split_records,
     gen_random_text,
     read_fasta,
 )
@@ -136,6 +137,21 @@ class TestReadFastaProperties:
         with pytest.raises(ValueError) as exc:
             read_fasta(text[:at] + bytes([bad]) + text[at:])
         assert str(exc.value) == f"non-printable byte 0x{bad:02x} at offset {at}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b">", b"\n", b"\r", b" ", b"a", b"C", b"\x00"]),
+                    max_size=40).map(b"".join))
+    def test_record_split_is_the_split_on_newline_header(self, data):
+        # The reference splits b"\n" + data on b"\n>": chunk 0 is the text
+        # before the first header line, every later one a header line, '>'
+        # removed, and its sequence lines, which start one byte past the
+        # header in b"\n" + data and so at start + len(header) in data.
+        want, start = [], 0
+        for chunk in (b"\n" + data).split(b"\n>"):
+            header, _, seq = chunk.partition(b"\n")
+            want.append((header, seq, start + len(header)))
+            start += len(chunk) + 2
+        assert _split_records(data) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.binary(max_size=60), st.sampled_from([b"", b"\n", b"\r\n", b"\n\n"]))

@@ -236,20 +236,33 @@ class TestWitnessPass:
             self.check(p, text, params)
 
     def test_one_engine_run_per_candidate(self, monkeypatch):
+        # find_many advances each (row, start) pair of a length group once,
+        # duplicate and permuted rows included; find is its one-row case.
         engine = verify_module._advance
         advanced = []
-        monkeypatch.setattr(verify_module, "_advance",
-                            lambda *a: advanced.extend(a[2].tolist()) or engine(*a))
+
+        def counted(t_arr, starts, rows, *rest):
+            advanced.extend(zip(rows.tolist(), starts.tolist()))
+            return engine(t_arr, starts, rows, *rest)
+
+        monkeypatch.setattr(verify_module, "_advance", counted)
         rng = random.Random(1203)
         for m in (6, 100):
             params = maximal_params(m)
             p, text = self.planted_text(rng, 2, m, params.alpha, params.beta)
+            patterns = [p, text[:m], p, "".join(rng.sample(p, m))]
+            t_arr = code_points(text)
+            candidates = [scan_candidates(code_points(q), t_arr).tolist() for q in patterns]
             matcher = Matcher(text)
-            candidates = scan_candidates(code_points(p), code_points(text))
             for with_witness in (False, True):
                 advanced.clear()
+                found = matcher.find_many(patterns, params, with_witness=with_witness)
+                assert advanced == [(r, s) for r, cands in enumerate(candidates) for s in cands]
+                assert all((occ.witness is not None) == with_witness
+                           for occs in found for occ in occs)
+                advanced.clear()
                 occs = matcher.find(p, params, with_witness=with_witness)
-                assert advanced == candidates.tolist()
+                assert advanced == [(0, s) for s in candidates[0]]
                 assert all((occ.witness is not None) == with_witness for occ in occs)
 
     @small_chunks()
@@ -456,27 +469,59 @@ class TestFindMany:
            st.integers(0, 2), st.integers(0, 2), st.booleans(), st.booleans())
     @small_chunks()
     def test_same_as_find_per_pattern(self, seed, letters, a, b, with_witness, dense):
-        # Mixed lengths, a duplicate, a permuted copy and a pattern longer
-        # than the text; a dense text holds more than BUDGET candidates of
-        # its first pattern.  alpha and beta are 0, 1 or the maxima.
+        # Mixed lengths, a duplicate, a permuted copy, a rearranged copy and a
+        # pattern longer than the text; the text holds exact and rearranged
+        # copies of the first pattern, and a dense text more than BUDGET
+        # candidates of it, so chunks hold the windows of several rows of
+        # its length.  alpha and beta are 0, 1 or the maxima.
         # A seeded generator: a dense text would overrun hypothesis's buffer.
         rng = random.Random(seed)
         lengths = [rng.randint(1, 12) for _ in range(rng.randint(1, 5))]
         patterns = ["".join(rng.choice(letters) for _ in range(m)) for m in lengths]
+        p, m = patterns[0], lengths[0]
+
+        def rearranged():
+            return apply_blocks(p, random_block_decomposition(rng, m, m // 2, m))
+
         if dense:
-            p = patterns[0]
-            text = "".join("".join(rng.sample(p, len(p))) for _ in range(2 * BUDGET))
+            text = "".join("".join(rng.sample(p, m)) for _ in range(2 * BUDGET))
         else:
-            text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 150)))
-        s = rng.randint(0, max(0, len(text) - lengths[0]))
-        patterns += [rng.choice(patterns), "".join(rng.sample(patterns[0], lengths[0])),
-                     text[s:s + lengths[0]], text + letters[0]]
+            text = "".join("".join(rng.choice(letters) for _ in range(rng.randint(0, 40)))
+                           + rng.choice([p, rearranged()]) for _ in range(rng.randint(1, 4)))
+        s = rng.randint(0, len(text) - m)
+        patterns += [rng.choice(patterns), "".join(rng.sample(p, m)), rearranged(),
+                     text[s:s + m], text + letters[0]]
         rng.shuffle(patterns)
         params = None if a == b == 2 else SearchParams((0, 1, 10**6)[a], (0, 1, 10**6)[b])
         matcher = Matcher(text)
         self.check(matcher, patterns, params, with_witness)
         if dense:
             assert matcher.stats(p, params).candidates > BUDGET
+
+    def test_one_decider_run_per_group(self, monkeypatch):
+        # Ten patterns of one length, each with an exact and a rearranged
+        # copy in the text: their candidates fit in one chunk, so the
+        # rearranged ones of every row are decided by one run.
+        decide = verify_module._decide
+        decided = []
+
+        def counted(table, rows, *rest):
+            decided.append(set(rows.tolist()))
+            return decide(table, rows, *rest)
+
+        rng = random.Random(1401)
+        m = 32
+        patterns = [rand_string(rng, 16, m) for _ in range(10)]
+        text = "".join(rand_string(rng, 16, 50) + q + rand_string(rng, 16, 50)
+                       + q[m // 2:] + q[:m // 2] for q in patterns)
+        matcher = Matcher(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "_decide", counted)
+            got = matcher.find_many(patterns, with_witness=True)
+        assert decided == [set(range(10))]
+        assert [len(occs) for occs in got] == [2] * 10
+        assert [self.tokens(occs) for occs in got] == \
+            [self.tokens(matcher.find(q, with_witness=True)) for q in patterns]
 
     def test_forced_collisions_share_one_key(self, monkeypatch):
         # Every weight equal: the patterns of one length all share one

@@ -270,8 +270,12 @@ class TestWitness:
 def cut_test(p: str, windows: list[str], alpha: int, beta: int) -> list[bool]:
     """The decider, verify._decide, on windows given as strings: True where
     a window's chain of cuts reaches m."""
-    rows = np.stack([code_points(w) for w in windows])
-    return verify_module._decide(code_points(p + p[::-1]), rows, alpha, beta, False)[0].tolist()
+    # Each window followed by the pattern, the one row of the group.
+    p_arr = code_points(p)
+    table = np.stack([np.concatenate((code_points(w), p_arr)) for w in windows])
+    rows = np.zeros(len(windows), dtype=np.intp)
+    weights = verify_module.symbol_weights(p_arr[None])
+    return verify_module._decide(table, rows, weights, alpha, beta, False)[0].tolist()
 
 
 class TestCutTest:
