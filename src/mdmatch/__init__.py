@@ -3,9 +3,10 @@ factors and inversions of factors, with a counting filter (permutation test)
 and a verifier that walks each candidate's chain of cuts.  Symbols are coded
 by their Unicode code points (core.code_points) from text to verifier.
 
-Matcher (search.py) is the one search path: its filter is
-search.scan_group, one fingerprint pass over the text for the patterns of
-one length (scan_candidates is its one-pattern case), and its verifier,
+Matcher (search.py) is the one search path: find, iter_find, stats and
+find_many all run its one step per pattern length, a single pattern being
+a group of one.  The step's filter is search.scan_group, one fingerprint
+pass over the text for the patterns of one length, and its verifier,
 verify.verify_windows, decides all their candidates together.  The slow
 references it is tested against, rolling_deltas included, are in oracle.py."""
 

@@ -106,21 +106,15 @@ def cmd_search(args, parser) -> int:
         # read_fasta upper-cases sequence data; fold patterns the same way
         patterns = [p.upper() for p in patterns]
     records = _load_records(args.text_file, parser, args.raw)
-    # find_many clamps one set of bounds to each length; the longest
-    # pattern's maxima do for every shorter one.
-    longest = max(map(len, patterns))
+    if not all(patterns):
+        parser.error("empty pattern")
+    _check_bounds(parser, args)
+    # find_many clamps one set of bounds to each length, and skips a pattern
+    # longer than the record; the longest pattern's maxima do for every one.
+    params = _params_for(max(map(len, patterns)), args.alpha, args.beta)
     lines = []
     identity = {}  # pattern length -> the witness tokens of an exact copy
     for rec in records:
-        fits = [p for p in patterns if len(p) <= len(rec.data)]
-        if not fits:
-            continue
-        # Checked as the first pattern searched would check them: bad bounds
-        # before an empty pattern that comes later.
-        if fits[0]:
-            params = _params_for(longest, args.alpha, args.beta)
-        if not all(fits):
-            parser.error("empty pattern")
         found = Matcher(rec.data).find_many(patterns, params, with_witness=args.witness)
         for pid, occs in enumerate(found):
             for occ in occs:
@@ -148,6 +142,9 @@ def _check_lengths(parser, args, lengths: list[int], text: str) -> None:
         parser.error("pattern length -m must be >= 1")
     if max(lengths) > len(text):
         parser.error("pattern length exceeds text length")
+
+
+def _check_bounds(parser, args) -> None:
     for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
         if value is not None and value < 0:
             parser.error(f"{flag} must be >= 0")
@@ -156,6 +153,7 @@ def _check_lengths(parser, args, lengths: list[int], text: str) -> None:
 def cmd_density(args, parser) -> int:
     text, sigma = _experiment_text(args, parser)
     _check_lengths(parser, args, [args.length], text)
+    _check_bounds(parser, args)
     params = _params_for(args.length, args.alpha, args.beta)
     patterns = extract_patterns(text, args.length, args.count, args.seed)
     matcher = Matcher(text)
@@ -191,6 +189,7 @@ def cmd_bench(args, parser) -> int:
         parser.error("--runs must be >= 1")
     text, _sigma = _experiment_text(args, parser)
     _check_lengths(parser, args, args.lengths, text)
+    _check_bounds(parser, args)
     matcher = Matcher(text)
     print("m,algorithm,mean_ms,candidates_per_position")
     for m in args.lengths:

@@ -1,6 +1,8 @@
 """Filter-and-verify search: candidate positions from the counting filter,
 confirmed by the verifier's walk along each window's chain of cuts, one
-length's patterns together.  Includes a verify-everywhere baseline.
+length's patterns together.  Every Matcher search, of one pattern or many,
+is that one step per pattern length (scan_group, then verify_windows); a
+single pattern is a group of one.  Includes a verify-everywhere baseline.
 
 The filter keeps the windows that are permutations of the pattern, a
 necessary condition for a match under translocations and inversions.  It
@@ -72,15 +74,14 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
 
     One vectorized pass over the text computes each window's fingerprint
     once and keeps the windows whose fingerprint equals one of the rows';
-    prefix is fingerprint_prefix(text), built here when not given.  The hits
-    are then grouped by fingerprint, and each is confirmed by comparing its
-    sorted symbols with the sorted rows of its group, once per distinct
-    multiset: rows that permute each other share that work, a fingerprint
-    collision costs a sort but never adds a candidate, and each output is
-    identical to the delta == 0 positions of the rolling update
-    (oracle.rolling_deltas).  Rows with one multiset share one array.  Hits
-    are confirmed _SLICE symbols at a time, so the extra memory stays O(n)
-    whatever k is.
+    prefix is fingerprint_prefix(text), built here when not given.  Each
+    hit is then confirmed by comparing its sorted symbols with each distinct
+    multiset of the rows that has its fingerprint, once per multiset: rows
+    that permute each other share that work and one output array, a
+    fingerprint collision costs a sort but never adds a candidate, and each
+    output is identical to the delta == 0 positions of the rolling update
+    (oracle.rolling_deltas).  Hits are confirmed _SLICE symbols at a time,
+    so the extra memory stays O(n) whatever k is.
     """
     ps = np.asarray(patterns)
     t = np.asarray(text)
@@ -94,11 +95,12 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
         prefix = fingerprint_prefix(t)
     fingerprints = symbol_weights(ps.ravel()).reshape(k, m).sum(axis=1, dtype=np.uint64)
     sorted_rows = np.sort(ps, axis=1)
-    # Per fingerprint, the rows of each distinct multiset that has it.
-    groups: dict[int, dict[bytes, list[int]]] = {}
-    for r, key in enumerate(fingerprints.tolist()):
-        groups.setdefault(key, {}).setdefault(sorted_rows[r].tobytes(), []).append(r)
-    keys = np.array(list(groups), dtype=np.uint64)
+    # Row r's multiset is that of row first[r], the first row with its sorted
+    # symbols; the distinct multisets are confirmed under those rows.
+    seen: dict[bytes, int] = {}
+    first = [seen.setdefault(row.tobytes(), r) for r, row in enumerate(sorted_rows)]
+    distinct = list(seen.values())
+    keys = fingerprints.take(distinct)
     count = n - m + 1
     hit = np.empty(count, dtype=bool)
     # One buffer for every slice: a new temporary per slice, kept alive
@@ -110,28 +112,21 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
         np.equal(window, keys[0], out=hit[i:j])
         for key in keys[1:]:
             hit[i:j] |= window == key
-    hits = np.flatnonzero(hit)
-    # The confirmed parts of each multiset, under the multiset's first row.
-    found = {rows[0]: [hits[:0]] for multisets in groups.values() for rows in multisets.values()}
+    hits = hit.nonzero()[0]
+    found = [[hits[:0]] for _ in distinct]
     offsets = np.arange(m)
     step = max(1, _SLICE // m)
     for i in range(0, len(hits), step):
         part = hits[i:i + step]
         if len(keys) > 1:
             part_keys = prefix[part + m] - prefix[part]
-        for key, multisets in zip(keys, groups.values()):
+        for parts, d, key in zip(found, distinct, keys):
             sel = part if len(keys) == 1 else part[part_keys == key]
             block = t[sel[:, None] + offsets]
             block.sort(axis=1)
-            for rows in multisets.values():
-                found[rows[0]].append(sel[(block == sorted_rows[rows[0]]).all(axis=1)])
-    out: list = [None] * k
-    for multisets in groups.values():
-        for rows in multisets.values():
-            cands = np.concatenate(found[rows[0]])
-            for r in rows:
-                out[r] = cands
-    return out
+            parts.append(sel[(block == sorted_rows[d]).all(axis=1)])
+    cands = dict(zip(distinct, map(np.concatenate, found)))
+    return [cands[d] for d in first]
 
 
 def scan_candidates(pattern: Sequence[int], text: Sequence[int],
@@ -156,9 +151,9 @@ class Matcher:
     """Searches one text repeatedly; the text is encoded once, by code point.
 
     A pattern symbol absent from the text simply gets no candidates.  The
-    filter's fingerprint prefix of the text is built by the first find or
-    stats call and kept for the later ones, so constructing a Matcher stays
-    as cheap as encoding the text.
+    filter's fingerprint prefix of the text is built by the first search
+    that filters and kept for the later ones, so constructing a Matcher
+    stays as cheap as encoding the text.
     """
 
     def __init__(self, text: str):
@@ -171,23 +166,31 @@ class Matcher:
             self._prefix = fingerprint_prefix(self._t_arr)
         return self._prefix
 
-    def _prep(self, pattern: str, params: SearchParams | None):
-        m = len(pattern)
-        if m == 0:
-            raise ValueError("empty pattern")
-        params = normalize_params(params or maximal_params(m), m)
-        return m, params, code_points(pattern)
+    def _search_length(self, patterns: Sequence[str], params: SearchParams | None,
+                       with_witness: bool
+                       ) -> tuple[list[np.ndarray], Iterator[tuple[int, Occurrence]]]:
+        """The one search step, for patterns all of one length m: each
+        row's candidates, from one filter pass (scan_group), and a lazy
+        stream of (row, Occurrence) for the matches, row by row in position
+        order, decided a chunk at a time (verify_windows).  params is
+        normalized for m."""
+        k, m = len(patterns), len(patterns[0])
+        params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
+        if m > len(self._t_arr):
+            return [np.empty(0, dtype=np.int64)] * k, iter(())
+        group = code_points("".join(patterns)).reshape(k, m)
+        cands = scan_group(group, self._t_arr, self._fingerprints())
+        rows = np.arange(k).repeat([len(c) for c in cands])
+        found = verify_windows(group, self._t_arr, np.concatenate(cands), rows, params,
+                               with_witness)
+        return cands, ((r, Occurrence(s, witness)) for r, s, witness in found)
 
     def iter_find(self, pattern: str, params: SearchParams | None = None,
                   with_witness: bool = False) -> Iterator[Occurrence]:
-        """Yield occurrences in increasing position order (streaming)."""
-        m, params, p_arr = self._prep(pattern, params)
-        if m > len(self.text):
-            return
-        cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
-        found = verify_windows(p_arr[None], self._t_arr, cands, np.zeros(len(cands), np.intp),
-                               params, with_witness)
-        yield from (Occurrence(s, witness) for _, s, witness in found)
+        """Yield occurrences in increasing position order, streaming: after
+        the filter pass, each chunk's matches as it is verified."""
+        _, found = self._search_length([pattern], params, with_witness)
+        yield from (occ for _, occ in found)
 
     def find(self, pattern: str, params: SearchParams | None = None,
              with_witness: bool = False) -> list[Occurrence]:
@@ -196,45 +199,37 @@ class Matcher:
     def find_many(self, patterns: Sequence[str], params: SearchParams | None = None,
                   with_witness: bool = False) -> list[list[Occurrence]]:
         """find for each pattern, in the order given; params is normalized
-        for each pattern's length.  The patterns of one length share one
-        filter pass over the text (scan_group), and their candidates are
-        verified together, one decider run per chunk (verify_windows)."""
+        for each pattern's length, and a pattern longer than the text finds
+        nothing.  find is its one-pattern case: the patterns of one length
+        share one filter pass over the text (scan_group), and their
+        candidates are verified together, one decider run per chunk
+        (verify_windows)."""
         by_length: dict[int, list[int]] = {}
         for i, pattern in enumerate(patterns):
             by_length.setdefault(len(pattern), []).append(i)
         found: list[list[Occurrence]] = [[] for _ in patterns]
-        for m, ids in by_length.items():
-            norm = normalize_params(params or maximal_params(m), m)  # raises when m == 0
-            if m > len(self.text):
-                continue
-            group = code_points("".join(patterns[i] for i in ids)).reshape(len(ids), m)
-            cands = scan_group(group, self._t_arr, self._fingerprints())
-            rows = np.arange(len(ids)).repeat([len(c) for c in cands])
-            for r, s, witness in verify_windows(group, self._t_arr, np.concatenate(cands), rows,
-                                                norm, with_witness):
-                found[ids[r]].append(Occurrence(s, witness))
+        for ids in by_length.values():
+            _, occs = self._search_length([patterns[i] for i in ids], params, with_witness)
+            for r, occ in occs:
+                found[ids[r]].append(occ)
         return found
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
         """Baseline: run the verifier at every position, no filter."""
-        m, params, p_arr = self._prep(pattern, params)
-        n = len(self.text)
+        m, n = len(pattern), len(self.text)
+        params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
         if m > n:
             return []
         return [Occurrence(s) for _, s, _ in verify_windows(
-            p_arr[None], self._t_arr, np.arange(n - m + 1), np.zeros(n - m + 1, np.intp), params)]
+            code_points(pattern)[None], self._t_arr, np.arange(n - m + 1),
+            np.zeros(n - m + 1, np.intp), params)]
 
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
-        """Candidate and match counts for one scan of the text."""
-        m, params, p_arr = self._prep(pattern, params)
-        n = len(self.text)
-        if m > n:
-            return SearchStats(0, 0, 0)
-        cands = scan_candidates(p_arr, self._t_arr, self._fingerprints())
-        matches = sum(1 for _ in verify_windows(p_arr[None], self._t_arr, cands,
-                                                np.zeros(len(cands), np.intp), params))
-        return SearchStats(candidates=len(cands), matches=matches,
-                           positions_scanned=n - m + 1)
+        """Candidate and match counts for one scan of the text: find's
+        filter and verify work, counted."""
+        (cands,), found = self._search_length([pattern], params, False)
+        return SearchStats(candidates=len(cands), matches=sum(1 for _ in found),
+                           positions_scanned=max(len(self.text) - len(pattern) + 1, 0))
 
 
 def filtered_search(pattern: str, text: str, params: SearchParams | None = None,

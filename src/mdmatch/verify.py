@@ -218,12 +218,12 @@ def _walk(flat: np.ndarray, m: int, back: np.ndarray, c: np.ndarray, b: np.ndarr
     return code
 
 
-def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: np.ndarray,
-             weights: np.ndarray | None, params: SearchParams,
+def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray,
+             patterns: np.ndarray, params: SearchParams,
              witness: bool) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
     """Decide the windows t_arr[s:s+m] for s in starts, window i against
     row rows[i] of patterns, and yield (row, s, blocks) for the matching
-    ones in order; return the patterns' weights, computed if None and needed."""
+    ones in order.  The patterns are weighed only when a window is walked."""
     m = patterns.shape[1]
     w, p = t_arr[starts[:, None] + np.arange(m)], patterns.take(rows, axis=0)
     # A window equal to its pattern matches by identity alone, which is also
@@ -233,10 +233,8 @@ def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: 
     rest = (~exact).nonzero()[0]
     codes = None
     if len(rest):
-        if weights is None:
-            weights = symbol_weights(patterns)
         found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest],
-                               weights, params.alpha, params.beta, witness)
+                               symbol_weights(patterns), params.alpha, params.beta, witness)
         matched[rest[found]] = True
     hits = matched.nonzero()[0]
     if witness:
@@ -247,7 +245,6 @@ def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: 
     else:
         for r, s in zip(rows[hits].tolist(), starts[hits].tolist()):
             yield r, s, None
-    return weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,11 +290,10 @@ def verify_windows(patterns: np.ndarray, text: Sequence, starts: Sequence[int] |
     normalized for m."""
     patterns, t_arr = np.asarray(patterns), _codes(text)
     starts, rows = np.asarray(starts), np.asarray(rows)
-    weights = None  # computed for the first chunk that walks a window
     step = max(1, CHUNK // patterns.shape[1])
     for i in range(0, len(starts), step):
-        weights = yield from _advance(t_arr, starts[i:i + step], rows[i:i + step], patterns,
-                                      weights, params, witness)
+        yield from _advance(t_arr, starts[i:i + step], rows[i:i + step], patterns, params,
+                            witness)
 
 
 def _check_call(pattern: Sequence, text: Sequence, s: int,

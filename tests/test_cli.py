@@ -180,6 +180,20 @@ class TestSearch:
         exact = [line for line in want if "T@" not in line and "V@" not in line]
         assert len({line.count("I@") for line in exact}) == 2 and len(exact) > 40
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "-2")])
+    def test_negative_bound_is_usage_error(self, tmp_path, capsys, flag, value):
+        # Named as density and bench name it, under the subcommand's usage
+        # line, whether or not a record is as long as the pattern.
+        text = tmp_path / "t.txt"
+        for data in ("abba", "a"):
+            text.write_text(data)
+            with pytest.raises(SystemExit) as exc:
+                main(["search", "-p", "ab", flag, value, str(text)])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: mdmatch search")
+            assert f"{flag} must be >= 0" in err
+
     def test_case_folded_against_fasta(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
         text.write_text(">r\nACGT\n")

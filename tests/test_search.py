@@ -462,6 +462,12 @@ class TestFindMany:
         got = matcher.find_many(patterns, params, with_witness)
         assert [self.tokens(occs) for occs in got] == \
             [self.tokens(matcher.find(p, params, with_witness)) for p in patterns]
+        # find is find_many's one-pattern case, so the oracle is the check.
+        text = matcher.text
+        for p, occs in zip(patterns, got):
+            assert positions(occs) == positions(naive_search(p, text, params))
+            for occ in occs if with_witness else ():
+                assert apply_blocks(p, occ.witness) == text[occ.position:occ.position + len(p)]
         return got
 
     @settings(max_examples=80, deadline=None)
