@@ -6,14 +6,15 @@ prefix feasibility is a plain forward DP with explicit factor-length loops,
 and no state is shared with the fast path.  These functions are the ground
 truth the fast path is tested against.
 
-The paper's counting filter is kept here too, as the reference for
-search.scan_candidates.  Its rolling update keeps, per symbol code c, the
-signed count g[c] = occ_pattern(c) - occ_window(c) and the scalar
-delta = sum_c |g[c]|.  delta is zero exactly when the current window is a
-permutation of the pattern, which is a necessary condition for a match
-under translocations and inversions.  Shifting the window by one position
-updates delta in constant time.  CountState, init_counts, advance and
-rolling_deltas implement it.
+The paper's counting filter is kept here too, as the reference for the
+fast filter, search.scan_group (search.scan_candidates is its one-row
+wrapper).  Its rolling update keeps, per symbol code c, the signed count
+g[c] = occ_pattern(c) - occ_window(c) and the scalar delta = sum_c |g[c]|.
+delta is zero exactly when the current window is a permutation of the
+pattern, a necessary condition for a match under translocations and
+inversions.  Shifting the window by one position updates delta in
+constant time.  CountState, init_counts, advance and rolling_deltas
+implement it.
 """
 
 from __future__ import annotations

@@ -176,8 +176,6 @@ class Matcher:
         normalized for m."""
         k, m = len(patterns), len(patterns[0])
         params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
-        if m > len(self._t_arr):
-            return [np.empty(0, dtype=np.int64)] * k, iter(())
         group = code_points("".join(patterns)).reshape(k, m)
         cands = scan_group(group, self._t_arr, self._fingerprints())
         rows = np.arange(k).repeat([len(c) for c in cands])
@@ -216,13 +214,11 @@ class Matcher:
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
         """Baseline: run the verifier at every position, no filter."""
-        m, n = len(pattern), len(self.text)
+        m = len(pattern)
         params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
-        if m > n:
-            return []
+        starts = np.arange(len(self.text) - m + 1)  # empty when m > n
         return [Occurrence(s) for _, s, _ in verify_windows(
-            code_points(pattern)[None], self._t_arr, np.arange(n - m + 1),
-            np.zeros(n - m + 1, np.intp), params)]
+            code_points(pattern)[None], self._t_arr, starts, np.zeros_like(starts), params)]
 
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
         """Candidate and match counts for one scan of the text: find's

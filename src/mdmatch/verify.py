@@ -58,6 +58,8 @@ from .core import (
 # Window symbols verified together, and rows of them scanned for cuts at once.
 CHUNK = 1 << 16
 ROWS = 64
+# The one start, and pattern row, of the window a verify call decides.
+_ORIGIN = np.zeros(1, dtype=np.intp)
 
 
 def _state(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,59 +273,59 @@ def _blocks(code: list, m: int) -> tuple[Block, ...]:
     return tuple(reversed(blocks))
 
 
-def _codes(seq: Sequence) -> np.ndarray:
-    """A string by code point; any other sequence is taken as integer codes."""
-    return code_points(seq) if isinstance(seq, str) else np.asarray(seq)
-
-
-def verify_windows(patterns: np.ndarray, text: Sequence, starts: Sequence[int] | np.ndarray,
-                   rows: Sequence[int] | np.ndarray, params: SearchParams,
+def verify_windows(patterns: np.ndarray, text: np.ndarray, starts: np.ndarray,
+                   rows: np.ndarray, params: SearchParams,
                    witness: bool = False) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
     """Yield (r, s, blocks), in order, for each s = starts[i] whose window
     text[s:s+m] matches row r = rows[i] of patterns, a (k, m) code array.
 
     The one entry to the verifier: starts are taken CHUNK window symbols at
     a time, whatever their rows, and each chunk is decided by one decider
-    run.  text is a symbol string, coded here by code point, or integer
-    codes of the patterns' coding (Matcher passes code-point arrays).
-    blocks is the witness when one is asked for, else None.  params must be
-    normalized for m."""
-    patterns, t_arr = np.asarray(patterns), _codes(text)
-    starts, rows = np.asarray(starts), np.asarray(rows)
+    run.  text, starts and rows are integer arrays, checked and coded by
+    the caller; params must be normalized for m.  blocks is the witness
+    when one is asked for, else None."""
     step = max(1, CHUNK // patterns.shape[1])
     for i in range(0, len(starts), step):
-        yield from _advance(t_arr, starts[i:i + step], rows[i:i + step], patterns, params,
+        yield from _advance(text, starts[i:i + step], rows[i:i + step], patterns, params,
                             witness)
 
 
-def _check_call(pattern: Sequence, text: Sequence, s: int,
-                params: SearchParams | None) -> SearchParams:
-    m, n = len(pattern), len(text)
+def _first(pattern: Sequence, text: Sequence, s: int, params: SearchParams | None,
+           witness: bool) -> tuple[int, int, tuple[Block, ...] | None] | None:
+    """verify_windows' answer for text[s:s+m] alone, or None: where verify
+    and verify_with_witness check their input and code it (see verify)."""
+    m = len(pattern)
     if m == 0:
         raise ValueError("empty pattern")
-    if not 0 <= s <= n - m:
+    if not 0 <= s <= len(text) - m:
         raise ValueError("position out of bounds")
-    return normalize_params(params or maximal_params(m), m)
+    p = code_points(pattern) if isinstance(pattern, str) else np.asarray(pattern)
+    w = code_points(text[s:s + m]) if isinstance(text, str) else np.asarray(text[s:s + m])
+    for name, codes in (("pattern", p), ("text", w)):
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be a str or a sequence of integers")
+    params = normalize_params(params or maximal_params(m), m)
+    return next(verify_windows(p[None], w, _ORIGIN, _ORIGIN, params, witness), None)
 
 
 def verify(pattern: Sequence, text: Sequence, s: int,
            params: SearchParams | None = None) -> bool:
     """True iff the pattern matches t[s..s+m-1] under the given bounds.
 
-    Accepts symbol strings or integer code sequences.
+    pattern and text are each a str, coded by code point, or a sequence of
+    integer codes; else a ValueError names the argument.  Only the window
+    is coded, so a call's cost does not grow with the text.
     """
-    params = _check_call(pattern, text, s, params)
-    return next(verify_windows(_codes(pattern)[None], text, (s,), (0,), params), None) is not None
+    return _first(pattern, text, s, params, False) is not None
 
 
 def verify_with_witness(pattern: Sequence, text: Sequence, s: int,
                         params: SearchParams | None = None) -> tuple[Block, ...] | None:
-    """Like verify, but on success return the block decomposition.
+    """Like verify (the same inputs, only the window coded), but on success
+    return the block decomposition.
 
     Ties are broken toward identity, then the shortest translocation, then
     the shortest inversion, so output is deterministic.
     """
-    params = _check_call(pattern, text, s, params)
-    for _, _, blocks in verify_windows(_codes(pattern)[None], text, (s,), (0,), params, True):
-        return blocks
-    return None
+    found = _first(pattern, text, s, params, True)
+    return None if found is None else found[2]

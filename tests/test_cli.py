@@ -212,6 +212,54 @@ class TestSearch:
         assert out == "0\tr\t2\n"
 
 
+class TestUsageErrors:
+    """Branches that exit 2 under the subcommand's usage line."""
+
+    def check(self, capsys, argv, command, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: mdmatch {command}")
+        assert message in err
+
+    def test_empty_inline_pattern(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("ACGT")
+        self.check(capsys, ["search", "-p", "", str(text)], "search", "empty pattern")
+
+    def test_pattern_file_of_blank_lines(self, tmp_path, capsys):
+        text, pats = tmp_path / "t.txt", tmp_path / "p.txt"
+        text.write_text("ACGT")
+        pats.write_text("\n  \n\n")
+        self.check(capsys, ["search", "--pattern-file", str(pats), str(text)], "search",
+                   "no patterns given")
+
+    def test_gen_zero_length(self, tmp_path, capsys):
+        self.check(capsys, ["gen", "-n", "0", "--sigma", "4", "-o", str(tmp_path / "g.txt")],
+                   "gen", "n must be >= 1")
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_bench_zero_length(self, capsys):
+        self.check(capsys, ["bench", "--random", "100", "4", "0", "-m", "0"], "bench",
+                   "bad length list: '0'")
+
+    def test_density_one_symbol_alphabet(self, capsys):
+        self.check(capsys, ["density", "--random", "100", "1", "0", "-m", "4"], "density",
+                   "alphabet size must be at least 2")
+
+
+def test_density_uses_the_first_of_several_records(tmp_path, capsys):
+    text = tmp_path / "two.fa"
+    text.write_text(">a\nACACACACAC\n>b\nGGTT\n")
+    code, out, err = run_cli(capsys, "density", "--text-file", str(text), "-m", "4",
+                             "--count", "3")
+    assert code == 0
+    assert "note: using first of 2 records" in err
+    # sigma 2: the alphabet of record a alone, not of both records.
+    assert out.splitlines()[1].split(",")[:3] == ["4", "2", "3"]
+
+
 class TestDataErrors:
     """A text or FASTA pattern file that read_fasta rejects, or outside --raw
     a pattern holding a byte it rejects, exits 3, with read_fasta's message

@@ -63,6 +63,10 @@ class TestParams:
         with pytest.raises(ValueError):
             maximal_params(0)
 
+    def test_normalize_rejects_empty_pattern(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            normalize_params(SearchParams(0, 0), 0)
+
 
 class TestBlocks:
     def test_spans(self):
@@ -96,3 +100,12 @@ class TestBlocks:
     def test_short_cover_rejected(self):
         with pytest.raises(ValueError, match="cover"):
             apply_blocks("abc", [Block(IDENTITY, 0)])
+
+    @pytest.mark.parametrize("block, message", [
+        (Block(TRANSLOCATION, 0, 0), "translocation length must be >= 1"),
+        (Block(INVERSION, 0, 0), "inversion length must be >= 1"),
+        (Block("swap", 0, 1), "unknown block kind 'swap'"),
+    ])
+    def test_bad_block_rejected(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            apply_blocks("abc", [block])

@@ -36,6 +36,10 @@ class TestInitCounts:
         with pytest.raises(ValueError, match="pattern longer than text"):
             init_counts(codes("abc"), codes("ab"))
 
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            init_counts([], [0])
+
 
 class TestAdvance:
     def test_same_symbol_is_noop(self):
@@ -77,6 +81,13 @@ class TestRollingDeltas:
         # The text's largest code lies outside the pattern and the first window.
         assert list(rolling_deltas([0], [0, 1])) == [(0, 0), (1, 2)]
         assert list(rolling_deltas([1, 0], [0, 1, 5, 0])) == [(0, 0), (1, 2), (2, 2)]
+
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            list(rolling_deltas([], [0]))
+
+    def test_pattern_longer_than_text_yields_nothing(self):
+        assert list(rolling_deltas([0, 1], [0])) == []
 
 
 class TestScanCandidates:

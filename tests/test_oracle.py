@@ -29,6 +29,10 @@ class TestOracleMatch:
         with pytest.raises(ValueError, match="unequal lengths"):
             oracle_match("ab", "abc", SearchParams(1, 1))
 
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            oracle_match("", "")
+
     def test_agrees_with_enumeration(self):
         rng = random.Random(20_103)
         for _ in range(3000):
@@ -79,6 +83,10 @@ class TestNaiveSearch:
     def test_pattern_longer_than_text(self):
         assert naive_search("abc", "ab") == []
 
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            naive_search("", "ab")
+
 
 class TestPermutationProbability:
     def test_two_distinct_symbols(self):
@@ -94,6 +102,12 @@ class TestPermutationProbability:
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             permutation_probability([1, 2], 4, 2)
+
+    def test_bad_alphabet_or_count_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be >= 1"):
+            permutation_probability([1], 1, 0)
+        with pytest.raises(ValueError, match="negative occurrence count"):
+            permutation_probability([3, -1], 2, 2)
 
     def test_log_space_matches_exact_rational(self):
         # The production path switches to log space above m=20; compare a

@@ -198,6 +198,17 @@ class TestOneEncoding:
         assert matcher.scan_all("ab") == []
         assert matcher.stats("a") == SearchStats(0, 0, 0)
 
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_pattern_longer_than_the_text(self, extra):
+        text = "abba"
+        p = (text * 3)[:len(text) + extra]
+        matcher = Matcher(text)
+        for with_witness in (False, True):
+            assert matcher.find(p, with_witness=with_witness) == []
+            assert matcher.find_many([p, "ab"], with_witness=with_witness)[0] == []
+        assert matcher.scan_all(p) == []
+        assert matcher.stats(p) == SearchStats(0, 0, 0)
+
 
 class TestWitnessPass:
     @staticmethod

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mdmatch.core import (
     apply_blocks,
     code_points,
 )
+from mdmatch.ingest import gen_random_text
 from mdmatch.oracle import oracle_match
 from mdmatch.search import Matcher, scan_candidates
 from mdmatch.verify import verify, verify_with_witness
@@ -153,6 +155,60 @@ class TestVerifyProperties:
             assert built
             sizes.add(sum(built))
         assert len(sizes) == 1
+
+
+class TestInput:
+    """verify and verify_with_witness check and code their input themselves,
+    and of the text only the window."""
+
+    @pytest.mark.parametrize("fn", [verify, verify_with_witness])
+    def test_empty_pattern(self, fn):
+        with pytest.raises(ValueError, match="empty pattern"):
+            fn("", "abc", 0)
+
+    @pytest.mark.parametrize("fn", [verify, verify_with_witness])
+    @pytest.mark.parametrize("pattern, text, name", [
+        (list("AC"), list("AC"), "pattern"),  # an exact copy, which skips the walk
+        (list("AC"), list("CA"), "pattern"),
+        ("AC", list("CA"), "text"),
+    ])
+    def test_items_that_are_not_integers(self, fn, pattern, text, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a str or a sequence of integers"):
+            fn(pattern, text, 0)
+
+    @pytest.mark.parametrize("fn", [verify, verify_with_witness])
+    def test_memory_does_not_grow_with_the_text(self, fn):
+        text = gen_random_text(1_000_000, 4, 3)
+        s, m = 700_001, 32
+        window = text[s:s + m]
+        # The window with its halves swapped, so the call walks its cuts.
+        p = window[m // 2:] + window[:m // 2]
+        assert fn(p, text, s)  # a first call, so one-time caches are built
+        tracemalloc.start()
+        try:
+            assert fn(p, text, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 10), st.integers(0, 30), st.integers(0, 30),
+           st.booleans())
+    def test_window_of_a_longer_text(self, seed, m, before, after, planted):
+        # A rearranged copy of p, or a random window, at s = before.
+        rng = random.Random(seed)
+        p = rand_string(rng, 3, m)
+        w = (apply_blocks(p, random_block_decomposition(rng, m, m // 2, m)) if planted
+             else rand_string(rng, 3, m))
+        t = rand_string(rng, 3, before) + w + rand_string(rng, 3, after)
+        alpha, beta = rng.randint(0, m // 2), rng.randint(0, m)
+        params = SearchParams(alpha, beta)
+        want = witness_reference(p, w, alpha, beta)
+        assert (want is not None) == oracle_match(p, w, params)
+        for pattern, text in ((p, t), ([ord(c) for c in p], [ord(c) for c in t])):
+            assert verify(pattern, text, before, params) == (want is not None)
+            assert verify_with_witness(pattern, text, before, params) == want
 
 
 class TestWitness:
