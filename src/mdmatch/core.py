@@ -76,8 +76,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def symbol_weights(codes: Sequence[int]) -> np.ndarray:
     """The splitmix64 mix of each code, as uint64: one 64-bit weight per symbol.
 
-    The filter's window fingerprints and the verifier's cuts both sum
-    these weights, so a multiset of symbols has one weight sum everywhere.
+    The verifier's cuts sum these weights modulo 2**64, the filter's window
+    fingerprints their low 32 bits modulo 2**32 (the same sums, reduced),
+    so a multiset of symbols has one weight sum in each layer.
     """
     z = np.asarray(codes).astype(np.uint64)
     z += _GOLDEN

@@ -9,17 +9,21 @@ necessary condition for a match under translocations and inversions.  It
 runs one vectorized pass per pattern length over a multiset fingerprint of
 every window, in the manner of Karp and Rabin (1987) but with an order-free
 sum; the patterns of one length share the pass (scan_group), as in their
-multi-pattern search.  Each code gets a 64-bit splitmix64 weight
-(core.symbol_weights), and a window's fingerprint is the sum of its weights
-modulo 2**64, read off a prefix-sum array built once per text.  A
-permutation of a pattern always has the pattern's fingerprint; the rare
-window that has it by collision is rejected by an exact sorted compare.
-The paper's rolling histogram update, which selects the same windows, is
-kept as the reference in oracle.rolling_deltas.
+multi-pattern search.  Each code gets a 32-bit weight, the low half of its
+splitmix64 weight (core.symbol_weights), and a window's fingerprint is the
+sum of its weights modulo 2**32, read off a uint32 prefix-sum array built
+once per text.  A permutation of a pattern always has the pattern's
+fingerprint; a window that has it by collision is rejected by an exact
+sorted compare, so 32 bits only bound the false hits, as Karp and Rabin
+size their hash: a pass over n symbols with k distinct keys expects about
+(n - m + 1) * k / 2**32 of them (0.19 at n = 2M, k = 400).  The paper's
+rolling histogram update, which selects the same windows, is kept as the
+reference in oracle.rolling_deltas.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,35 +39,50 @@ from .core import (
 )
 from .verify import verify_windows
 
-# Symbols weighed, window fingerprints compared, or window symbols confirmed
-# per numpy call: the temporaries stay cache-sized whatever the number of
-# patterns filtered together, and the prefix is the only text-sized uint64
-# array.
+# Window fingerprints compared, or window symbols confirmed, per numpy
+# call: the temporaries stay cache-sized whatever the number of patterns
+# filtered together, and the prefix is the only text-sized fingerprint
+# array.  The prefix build weighs a quarter as many symbols per call, since
+# np.take first copies their codes to intp, 8 bytes each: a larger copy
+# comes back as fresh pages on every build.
 _SLICE = 1 << 15
 
 
-def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
-    """uint64 prefix sums of the symbol weights, wrapping on overflow.
+@functools.lru_cache(maxsize=1)
+def _byte_weights(weigh) -> np.ndarray:
+    """The 32-bit weights of the codes 0-255: weigh (symbol_weights) of
+    each, modulo 2**32.  Cached per weight function, so a patched
+    symbol_weights gets its own table."""
+    table = weigh(np.arange(256)).astype(np.uint32)
+    table.flags.writeable = False
+    return table
 
-    Entry k is the fingerprint of codes[:k], so the window codes[s:s+m] has
+
+def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
+    """uint32 prefix sums of the symbol weights, modulo 2**32.
+
+    Entry k is the fingerprint of codes[:k], the sum of their
+    core.symbol_weights modulo 2**32, so the window codes[s:s+m] has
     fingerprint prefix[s+m] - prefix[s] (also wrapping).  A sum does not
     depend on order, so windows with equal histograms have equal
     fingerprints; the converse can fail, and scan_group checks it.
 
     Codes all in [0, 256), as in FASTA and --raw texts, are looked up in a
-    weight table written straight into the prefix, derived on each call so
-    it holds no state and agrees with symbol_weights; others take that formula.
+    cached weight table written straight into the prefix; others take the
+    symbol_weights formula.  Both give the same weights.
     """
     codes = np.asarray(codes)
-    prefix = np.zeros(len(codes) + 1, dtype=np.uint64)
-    table = symbol_weights(np.arange(256))
+    prefix = np.zeros(len(codes) + 1, dtype=np.uint32)
+    table = _byte_weights(symbol_weights)
     in_table = len(codes) and codes.min() >= 0 and codes.max() < 256
-    for i in range(0, len(codes), _SLICE):
+    step = max(1, _SLICE // 4)
+    for i in range(0, len(codes), step):
+        out = prefix[1 + i:1 + i + step]
         if in_table:  # mode="raise" would buffer out
-            np.take(table, codes[i:i + _SLICE], out=prefix[1 + i:1 + i + _SLICE], mode="clip")
+            np.take(table, codes[i:i + step], out=out, mode="clip")
         else:
-            prefix[1 + i:1 + i + _SLICE] = symbol_weights(codes[i:i + _SLICE])
-    np.cumsum(prefix[1:], out=prefix[1:])
+            out[:] = symbol_weights(codes[i:i + step])  # cast keeps the low 32 bits
+    np.add.accumulate(prefix[1:], out=prefix[1:])
     return prefix
 
 
@@ -93,7 +112,11 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
         return [np.empty(0, dtype=np.int64)] * k
     if prefix is None:
         prefix = fingerprint_prefix(t)
-    fingerprints = symbol_weights(ps.ravel()).reshape(k, m).sum(axis=1, dtype=np.uint64)
+    if ps.min() >= 0 and ps.max() < 256:
+        weights = _byte_weights(symbol_weights).take(ps)
+    else:
+        weights = symbol_weights(ps.ravel()).astype(np.uint32).reshape(k, m)
+    fingerprints = weights.sum(axis=1, dtype=np.uint32)
     sorted_rows = np.sort(ps, axis=1)
     # Row r's multiset is that of row first[r], the first row with its sorted
     # symbols; the distinct multisets are confirmed under those rows.
@@ -105,7 +128,7 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
     hit = np.empty(count, dtype=bool)
     # One buffer for every slice: a new temporary per slice, kept alive
     # across the next allocation, can cost a page fault per page each time.
-    buf = np.empty(min(count, _SLICE), dtype=np.uint64)
+    buf = np.empty(min(count, _SLICE), dtype=np.uint32)
     for i in range(0, count, _SLICE):
         j = min(i + _SLICE, count)
         window = np.subtract(prefix[m + i:m + j], prefix[i:j], out=buf[:j - i])

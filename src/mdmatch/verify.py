@@ -6,7 +6,7 @@ decomposes into identity symbols, swapped adjacent equal-length factors
 
 Every block permutes its own span, so blocks end at cuts: rows b where the
 prefixes p[:b] and w[:b] have equal multisets, read off equal prefix sums of
-the filter's symbol weights (core.symbol_weights); a weight collision only
+the 64-bit symbol weights (core.symbol_weights); a weight collision only
 adds a cut.  Cut 0 is reached, and a later cut b is reached by identity when
 b - 1 is reached and p[b-1] == w[b-1], else by the shortest translocation
 (w[a:b] == p[a+k:b] + p[a:a+k], b - a = 2k <= 2*alpha), else by the
@@ -60,6 +60,23 @@ CHUNK = 1 << 16
 ROWS = 64
 # The one start, and pattern row, of the window a verify call decides.
 _ORIGIN = np.zeros(1, dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=1)
+def _byte_weights(weigh) -> np.ndarray:
+    """weigh (symbol_weights) of the codes 0-255, cached per weight
+    function, so a patched symbol_weights gets its own table."""
+    table = weigh(np.arange(256))
+    table.flags.writeable = False
+    return table
+
+
+def _weights(codes: np.ndarray) -> np.ndarray:
+    """symbol_weights of codes, read from the cached byte table when every
+    code is in [0, 256)."""
+    if codes.min() >= 0 and codes.max() < 256:
+        return _byte_weights(symbol_weights).take(codes)
+    return symbol_weights(codes)
 
 
 def _state(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +158,7 @@ def _cuts(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, acc: np.ndar
     r1 = min(r0 + ROWS, m)
     ws = table[live, r0:r1]
     # A cut is a zero of the running difference to the pattern's weights.
-    diff = symbol_weights(ws)
+    diff = _weights(ws)
     diff -= weights[rows[live], r0:r1]
     np.add.accumulate(diff, axis=1, out=diff)
     if r0:
@@ -236,7 +253,7 @@ def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray,
     codes = None
     if len(rest):
         found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest],
-                               symbol_weights(patterns), params.alpha, params.beta, witness)
+                               _weights(patterns), params.alpha, params.beta, witness)
         matched[rest[found]] = True
     hits = matched.nonzero()[0]
     if witness:

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from mdmatch.core import Block, IDENTITY, INVERSION, TRANSLOCATION
 
 LETTERS = "abcdefghijklmnop"
@@ -9,6 +11,13 @@ LETTERS = "abcdefghijklmnop"
 
 def rand_string(rng: random.Random, sigma: int, m: int) -> str:
     return "".join(rng.choice(LETTERS[:sigma]) for _ in range(m))
+
+
+def high_weights(codes) -> np.ndarray:
+    """Symbol weights equal in their low 32 bits, 1, with the code above:
+    summed mod 2**32, every multiset of one size has the same sum; summed
+    mod 2**64, only those whose codes have equal sums do."""
+    return (np.asarray(codes).astype(np.uint64) << np.uint64(32)) | np.uint64(1)
 
 
 def enum_match(p: str, w: str, alpha: int, beta: int) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_string, random_block_decomposition
+from conftest import high_weights, rand_string, random_block_decomposition
 from mdmatch.core import apply_blocks, code_points, symbol_weights
 from mdmatch.ingest import gen_random_text
 from mdmatch.oracle import advance, init_counts, rolling_deltas
@@ -175,12 +175,15 @@ def _rolling_candidates(p, t):
 
 class TestFingerprint:
     def test_prefix_wraps_and_ignores_order(self):
-        # Weights are spread over 64 bits, so the sums wrap at once; window
-        # fingerprints still depend only on the window's histogram.
-        prefix = fingerprint_prefix([5, 9, 5, 9, 9, 5])
-        assert prefix.dtype == np.uint64 and len(prefix) == 7 and prefix[0] == 0
-        weights = [int(w) for w in np.diff(prefix)]
-        assert sum(weights) > 2**64 and int(prefix[6]) == sum(weights) % 2**64
+        # Each entry is the wrapping sum of symbol_weights reduced mod 2**32;
+        # the 32-bit weights wrap at once too, and window fingerprints still
+        # depend only on the window's histogram.
+        codes = [5, 9, 5, 9, 9, 5]
+        prefix = fingerprint_prefix(codes)
+        assert prefix.dtype == np.uint32 and len(prefix) == 7 and prefix[0] == 0
+        weights = symbol_weights(np.array(codes)).tolist()
+        assert prefix.tolist() == [sum(weights[:k]) % 2**32 for k in range(7)]
+        assert sum(w % 2**32 for w in weights) > 2**32
         pairs, triples = prefix[2:] - prefix[:-2], prefix[3:] - prefix[:-3]
         assert pairs[0] == pairs[2] == pairs[4] != pairs[3]
         assert triples[0] != triples[1]
@@ -204,6 +207,24 @@ class TestFingerprint:
             t = [rng.randrange(sigma) for _ in range(n)]
             p = [rng.randrange(sigma) for _ in range(m)]
             assert scan_candidates(p, t).tolist() == _rolling_candidates(p, t)
+
+    def test_collisions_in_the_low_32_bits_are_rejected(self, monkeypatch):
+        # Weights equal in their low 32 bits (conftest.high_weights): in the
+        # filter's 32-bit sums every window of a length has every row's
+        # fingerprint, and the exact compare alone decides.
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights", high_weights)
+        rng = random.Random(43)
+        for _ in range(150):
+            pool = rng.choice([[0, 1, 2], [0, 1, 300], [7, 70000, 255]])
+            m = rng.randint(1, 8)
+            idx = [rng.randrange(3) for _ in range(rng.randint(m, 100))]
+            rows = [[pool[c] for c in row]
+                    for row in _group_rows(rng, m, rng.randint(0, 4), idx, 3)]
+            t = [pool[c] for c in idx]
+            assert (np.diff(fingerprint_prefix(t)) == 1).all()
+            TestScanGroup.check(rows, t)
+            assert scan_candidates(rows[0], t).tolist() == _rolling_candidates(rows[0], t)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     def test_slice_boundaries(self, monkeypatch, size):
@@ -242,7 +263,7 @@ class TestFingerprint:
     def test_table_and_formula_paths_agree(self, data):
         # Codes in [0, 256) take the weight table, any other code sends the
         # whole text through symbol_weights; both must give the wrapping
-        # prefix sums of symbol_weights, at any slice size.
+        # prefix sums of symbol_weights reduced mod 2**32, at any slice size.
         search = importlib.import_module("mdmatch.search")
         byte = st.integers(0, 255)
         other = st.integers(256, 0x10FFFF) | st.integers(-2**31, -1) | st.integers(2**32, 2**62)
@@ -255,12 +276,12 @@ class TestFingerprint:
             sums.append((sums[-1] + w) % 2**64)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search, "_SLICE", data.draw(st.sampled_from([1, 2, 7, 1 << 15])))
-            assert fingerprint_prefix(arr).tolist() == sums
+            assert fingerprint_prefix(arr).tolist() == [x % 2**32 for x in sums]
 
     @pytest.mark.parametrize("n", [100_000, 400_000])
     def test_prefix_build_allocates_one_prefix(self, n):
-        # The prefix and a slice of indices (np.take converts them to intp);
-        # no text-sized or slice-sized uint64 temporary.
+        # The uint32 prefix and one take slice of indices (np.take converts
+        # them to intp); no text-sized or slice-sized weight temporary.
         search = importlib.import_module("mdmatch.search")
         t = code_points(gen_random_text(n, 64, 5))
         fingerprint_prefix(t)
@@ -270,7 +291,7 @@ class TestFingerprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n + 1) + 8 * search._SLICE + 16 * 1024
+        assert peak <= 4 * (n + 1) + 8 * (search._SLICE // 4) + 16 * 1024
 
     def test_memory_bounded_when_every_window_hits(self):
         t = code_points("A" * 200_000)

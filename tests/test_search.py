@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_string, random_block_decomposition, witness_reference
+from conftest import high_weights, rand_string, random_block_decomposition, witness_reference
 from mdmatch.core import SearchParams, apply_blocks, code_points, maximal_params
 from mdmatch.oracle import naive_search
 from mdmatch.search import Matcher, SearchStats, filtered_search, scan_candidates
@@ -375,6 +375,24 @@ class TestFingerprintFilter:
             params = SearchParams(rng.randint(0, m // 2), rng.randint(0, m))
             matcher = Matcher(t)
             assert positions(matcher.find(p, params)) == positions(naive_search(p, t, params))
+
+    def test_collisions_in_the_low_32_bits_keep_output_exact(self, monkeypatch):
+        # Weights equal in their low 32 bits (conftest.high_weights): every
+        # window of a length collides in the filter's 32-bit fingerprints,
+        # on the byte table and on the formula path (U+0100).
+        search = importlib.import_module("mdmatch.search")
+        monkeypatch.setattr(search, "symbol_weights", high_weights)
+        rng = random.Random(1403)
+        for _ in range(100):
+            alphabet = rng.choice(["AB", "ABC", "AB\xffĀ"])
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 60)))
+            patterns = ["".join(rng.choice(alphabet) for _ in range(rng.choice([1, 2, 3, 5])))
+                        for _ in range(5)]
+            params = SearchParams(rng.randint(0, 2), rng.randint(0, 5))
+            matcher = Matcher(text)
+            want = [positions(naive_search(p, text, params)) for p in patterns]
+            assert [positions(occs) for occs in matcher.find_many(patterns, params)] == want
+            assert [positions(matcher.find(p, params)) for p in patterns] == want
 
     def test_code_point_above_255_takes_the_formula_path(self):
         # One symbol past U+00FF sends the whole text through symbol_weights
