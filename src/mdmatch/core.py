@@ -10,6 +10,7 @@ pattern, reconstructs the matched text window.  Three block kinds exist:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,12 +75,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def symbol_weights(codes: Sequence[int]) -> np.ndarray:
-    """The splitmix64 mix of each code, as uint64: one 64-bit weight per symbol.
-
-    The verifier's cuts sum these weights modulo 2**64, the filter's window
-    fingerprints their low 32 bits modulo 2**32 (the same sums, reduced),
-    so a multiset of symbols has one weight sum in each layer.
-    """
+    """The splitmix64 mix of each code, as uint64.  Both layers weigh a
+    symbol by its low 32 bits (fingerprint_weights), so a multiset has one
+    fingerprint, the sum of those modulo 2**32, in filter and verifier."""
     z = np.asarray(codes).astype(np.uint64)
     z += _GOLDEN
     z ^= z >> np.uint64(30)
@@ -88,6 +86,55 @@ def symbol_weights(codes: Sequence[int]) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+# Symbols weighed per np.take in fingerprint_prefix, which first copies their
+# codes to intp: a larger copy comes back as fresh pages on every build.
+_TAKE = 1 << 13
+
+
+@functools.lru_cache(maxsize=1)
+def _byte_weights(weigh) -> np.ndarray:
+    """The fingerprint weights of the codes 0-255, cached per weight function
+    (symbol_weights), so a patched symbol_weights gets its own table."""
+    table = weigh(np.arange(256)).astype(np.uint32)
+    table.flags.writeable = False
+    return table
+
+
+def _in_table(codes: np.ndarray) -> bool:
+    return bool(codes.size) and codes.min() >= 0 and codes.max() < 256
+
+
+def fingerprint_weights(codes: np.ndarray) -> np.ndarray:
+    """symbol_weights of codes modulo 2**32: read from a cached 256-entry
+    table when every code is in [0, 256), as in FASTA and --raw texts, else
+    from the formula, which gives the same weights."""
+    if _in_table(codes):
+        return _byte_weights(symbol_weights).take(codes)
+    return symbol_weights(codes.ravel()).astype(np.uint32).reshape(codes.shape)
+
+
+def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
+    """uint32 prefix sums of fingerprint_weights, modulo 2**32: entry k is
+    the fingerprint of codes[:k], so the window codes[s:s+m] has
+    fingerprint prefix[s+m] - prefix[s] (also wrapping).  Windows with equal
+    histograms have equal fingerprints; the converse can fail, and both
+    layers check it.  The filter reads window fingerprints off it, the
+    verifier each window's cuts.  Table weights are written straight into
+    the prefix, _TAKE symbols at a time, with no weight temporary."""
+    codes = np.asarray(codes)
+    prefix = np.zeros(len(codes) + 1, dtype=np.uint32)
+    table = _byte_weights(symbol_weights)
+    in_table = _in_table(codes)
+    for i in range(0, len(codes), _TAKE):
+        out = prefix[1 + i:1 + i + _TAKE]
+        if in_table:  # mode="raise" would buffer out
+            np.take(table, codes[i:i + _TAKE], out=out, mode="clip")
+        else:
+            out[:] = symbol_weights(codes[i:i + _TAKE])  # cast keeps the low 32 bits
+    np.add.accumulate(prefix[1:], out=prefix[1:])
+    return prefix
 
 
 @dataclass(frozen=True)

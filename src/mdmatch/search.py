@@ -10,20 +10,20 @@ runs one vectorized pass per pattern length over a multiset fingerprint of
 every window, in the manner of Karp and Rabin (1987) but with an order-free
 sum; the patterns of one length share the pass (scan_group), as in their
 multi-pattern search.  Each code gets a 32-bit weight, the low half of its
-splitmix64 weight (core.symbol_weights), and a window's fingerprint is the
-sum of its weights modulo 2**32, read off a uint32 prefix-sum array built
-once per text.  A permutation of a pattern always has the pattern's
-fingerprint; a window that has it by collision is rejected by an exact
-sorted compare, so 32 bits only bound the false hits, as Karp and Rabin
-size their hash: a pass over n symbols with k distinct keys expects about
-(n - m + 1) * k / 2**32 of them (0.19 at n = 2M, k = 400).  The paper's
-rolling histogram update, which selects the same windows, is kept as the
-reference in oracle.rolling_deltas.
+splitmix64 weight (core.fingerprint_weights), and a window's fingerprint is
+the sum of its weights modulo 2**32, read off a uint32 prefix-sum array
+(core.fingerprint_prefix) that a Matcher builds once per text and shares
+with the verifier, which reads each window's cuts off it.  A permutation of
+a pattern always has the pattern's fingerprint; a window that has it by
+collision is rejected by an exact sorted compare, so 32 bits only bound the
+false hits, as Karp and Rabin size their hash: a pass over n symbols with k
+distinct keys expects about (n - m + 1) * k / 2**32 of them (0.19 at
+n = 2M, k = 400).  The paper's rolling histogram update, which selects the
+same windows, is kept as the reference in oracle.rolling_deltas.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,57 +33,18 @@ from .core import (
     Occurrence,
     SearchParams,
     code_points,
+    fingerprint_prefix,
+    fingerprint_weights,
     maximal_params,
     normalize_params,
-    symbol_weights,
 )
 from .verify import verify_windows
 
 # Window fingerprints compared, or window symbols confirmed, per numpy
 # call: the temporaries stay cache-sized whatever the number of patterns
 # filtered together, and the prefix is the only text-sized fingerprint
-# array.  The prefix build weighs a quarter as many symbols per call, since
-# np.take first copies their codes to intp, 8 bytes each: a larger copy
-# comes back as fresh pages on every build.
+# array.
 _SLICE = 1 << 15
-
-
-@functools.lru_cache(maxsize=1)
-def _byte_weights(weigh) -> np.ndarray:
-    """The 32-bit weights of the codes 0-255: weigh (symbol_weights) of
-    each, modulo 2**32.  Cached per weight function, so a patched
-    symbol_weights gets its own table."""
-    table = weigh(np.arange(256)).astype(np.uint32)
-    table.flags.writeable = False
-    return table
-
-
-def fingerprint_prefix(codes: Sequence[int]) -> np.ndarray:
-    """uint32 prefix sums of the symbol weights, modulo 2**32.
-
-    Entry k is the fingerprint of codes[:k], the sum of their
-    core.symbol_weights modulo 2**32, so the window codes[s:s+m] has
-    fingerprint prefix[s+m] - prefix[s] (also wrapping).  A sum does not
-    depend on order, so windows with equal histograms have equal
-    fingerprints; the converse can fail, and scan_group checks it.
-
-    Codes all in [0, 256), as in FASTA and --raw texts, are looked up in a
-    cached weight table written straight into the prefix; others take the
-    symbol_weights formula.  Both give the same weights.
-    """
-    codes = np.asarray(codes)
-    prefix = np.zeros(len(codes) + 1, dtype=np.uint32)
-    table = _byte_weights(symbol_weights)
-    in_table = len(codes) and codes.min() >= 0 and codes.max() < 256
-    step = max(1, _SLICE // 4)
-    for i in range(0, len(codes), step):
-        out = prefix[1 + i:1 + i + step]
-        if in_table:  # mode="raise" would buffer out
-            np.take(table, codes[i:i + step], out=out, mode="clip")
-        else:
-            out[:] = symbol_weights(codes[i:i + step])  # cast keeps the low 32 bits
-    np.add.accumulate(prefix[1:], out=prefix[1:])
-    return prefix
 
 
 def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
@@ -112,11 +73,7 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
         return [np.empty(0, dtype=np.int64)] * k
     if prefix is None:
         prefix = fingerprint_prefix(t)
-    if ps.min() >= 0 and ps.max() < 256:
-        weights = _byte_weights(symbol_weights).take(ps)
-    else:
-        weights = symbol_weights(ps.ravel()).astype(np.uint32).reshape(k, m)
-    fingerprints = weights.sum(axis=1, dtype=np.uint32)
+    fingerprints = fingerprint_weights(ps).sum(axis=1, dtype=np.uint32)
     sorted_rows = np.sort(ps, axis=1)
     # Row r's multiset is that of row first[r], the first row with its sorted
     # symbols; the distinct multisets are confirmed under those rows.
@@ -174,9 +131,9 @@ class Matcher:
     """Searches one text repeatedly; the text is encoded once, by code point.
 
     A pattern symbol absent from the text simply gets no candidates.  The
-    filter's fingerprint prefix of the text is built by the first search
-    that filters and kept for the later ones, so constructing a Matcher
-    stays as cheap as encoding the text.
+    fingerprint prefix of the text, which the filter and the verifier
+    share, is built by the first search and kept for the later ones, so
+    constructing a Matcher stays as cheap as encoding the text.
     """
 
     def __init__(self, text: str):
@@ -202,8 +159,8 @@ class Matcher:
         group = code_points("".join(patterns)).reshape(k, m)
         cands = scan_group(group, self._t_arr, self._fingerprints())
         rows = np.arange(k).repeat([len(c) for c in cands])
-        found = verify_windows(group, self._t_arr, np.concatenate(cands), rows, params,
-                               with_witness)
+        found = verify_windows(group, self._t_arr, self._fingerprints(), np.concatenate(cands),
+                               rows, params, with_witness)
         return cands, ((r, Occurrence(s, witness)) for r, s, witness in found)
 
     def iter_find(self, pattern: str, params: SearchParams | None = None,
@@ -241,7 +198,8 @@ class Matcher:
         params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
         starts = np.arange(len(self.text) - m + 1)  # empty when m > n
         return [Occurrence(s) for _, s, _ in verify_windows(
-            code_points(pattern)[None], self._t_arr, starts, np.zeros_like(starts), params)]
+            code_points(pattern)[None], self._t_arr, self._fingerprints(), starts,
+            np.zeros_like(starts), params)]
 
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
         """Candidate and match counts for one scan of the text: find's

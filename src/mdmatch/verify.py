@@ -5,15 +5,17 @@ decomposes into identity symbols, swapped adjacent equal-length factors
 (halves of length <= alpha) and reversed factors (length <= beta) of p.
 
 Every block permutes its own span, so blocks end at cuts: rows b where the
-prefixes p[:b] and w[:b] have equal multisets, read off equal prefix sums of
-the 64-bit symbol weights (core.symbol_weights); a weight collision only
-adds a cut.  Cut 0 is reached, and a later cut b is reached by identity when
-b - 1 is reached and p[b-1] == w[b-1], else by the shortest translocation
-(w[a:b] == p[a+k:b] + p[a:a+k], b - a = 2k <= 2*alpha), else by the
-shortest inversion (w[a:b] == reverse(p[a:b]), 2 <= b - a <= beta) from a
-reached cut a, each block checked by an exact compare.  The window matches
-iff m is reached, and its witness is walked back from m along the codes of
-the cuts that reached it: that order is the witness tie-break.
+prefixes p[:b] and w[:b] have equal multisets, read off the filter's 32-bit
+fingerprint prefix of the text (core.fingerprint_prefix): prefix[s+b] -
+prefix[s] equals the weight sum of p[:b].  A collision only adds a cut, never
+reached, as an exact block from a reached cut leaves equal multisets.  Cut 0
+is reached, and a later cut b is reached by identity when b - 1 is reached
+and p[b-1] == w[b-1], else by the shortest translocation (w[a:b] ==
+p[a+k:b] + p[a:a+k], b - a = 2k <= 2*alpha), else by the shortest inversion
+(w[a:b] == reverse(p[a:b]), 2 <= b - a <= beta) from a reached cut a, each
+block checked by an exact compare.  The window matches iff m is reached,
+and its witness is walked back from m along the codes of the cuts that
+reached it: that order is the witness tie-break.
 
 One decider (_decide) walks every window of a chunk that is not equal to
 its pattern, on a table row that holds the window and then its pattern; an
@@ -39,7 +41,7 @@ Matcher included, reaches the decider through verify_windows.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +52,10 @@ from .core import (
     TRANSLOCATION,
     SearchParams,
     code_points,
+    fingerprint_prefix,
+    fingerprint_weights,
     maximal_params,
     normalize_params,
-    symbol_weights,
 )
 
 # Window symbols verified together, and rows of them scanned for cuts at once.
@@ -62,41 +65,25 @@ ROWS = 64
 _ORIGIN = np.zeros(1, dtype=np.intp)
 
 
-@functools.lru_cache(maxsize=1)
-def _byte_weights(weigh) -> np.ndarray:
-    """weigh (symbol_weights) of the codes 0-255, cached per weight
-    function, so a patched symbol_weights gets its own table."""
-    table = weigh(np.arange(256))
-    table.flags.writeable = False
-    return table
-
-
-def _weights(codes: np.ndarray) -> np.ndarray:
-    """symbol_weights of codes, read from the cached byte table when every
-    code is in [0, 256)."""
-    if codes.min() >= 0 and codes.max() < 256:
-        return _byte_weights(symbol_weights).take(codes)
-    return symbol_weights(codes)
-
-
-def _state(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def _state(n: int, horizon: int) -> np.ndarray:
     """What the walk of n windows carries from one row slice to the next:
     each window's last horizon reached cuts, latest first (cut 0, then
-    positions too far back to reach from), and the difference of its
-    weight sum to the pattern's so far."""
+    positions too far back to reach from)."""
     back = np.full((n, horizon), -horizon, dtype=np.intp)
     back[:, 0] = 0
-    return back, np.zeros(n, dtype=np.uint64)
+    return back
 
 
-def _decide(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, alpha: int,
-            beta: int, witness: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _decide(table: np.ndarray, rows: np.ndarray, sums: np.ndarray, starts: np.ndarray,
+            prefix: np.ndarray, alpha: int, beta: int,
+            witness: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The mask of the windows that match their patterns, and with witness
     each window's codes by cut (see _blocks).  Row i of the C-contiguous
-    table is window i then its pattern, whose weights are weights[rows[i]]."""
+    table is window i, at starts[i] of the text with fingerprint prefix
+    prefix, then its pattern, with fingerprint prefix sums sums[rows[i]]."""
     n, m = table.shape[0], table.shape[1] // 2
     horizon = max(2 * alpha, beta, 1)
-    back, acc = _state(n, horizon)
+    back = _state(n, horizon)
     # Whether a translocation (row 0) and an inversion (row 1) may span s rows.
     kinds = np.zeros((2, horizon + 1), dtype=bool)
     kinds[0, 2:2 * alpha + 1:2] = True
@@ -109,18 +96,17 @@ def _decide(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, alpha: int
             live = live[r0 + 1 - back[live, 0] <= horizon]
             if not len(live):
                 break
-        _slice(table, rows, weights, back, acc, codes, kinds, alpha, witness, live, r0)
+        row, win, at, ident = _cuts(table, rows, sums, starts, prefix, live, r0)
+        if len(row):
+            _slice(table, back, codes, kinds, alpha, witness, row, win, at, ident)
     return back[:, 0] == m, codes
 
 
-def _slice(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, back: np.ndarray,
-           acc: np.ndarray, codes: np.ndarray | None, kinds: np.ndarray, alpha: int,
-           witness: bool, live: np.ndarray, r0: int) -> None:
-    """Walk the cuts of the live windows in the ROWS rows from r0, recording
-    each reached cut in back and, with witness, its code in codes."""
-    row, win, at, ident = _cuts(table, rows, weights, acc, live, r0)
-    if not len(row):
-        return
+def _slice(table: np.ndarray, back: np.ndarray, codes: np.ndarray | None, kinds: np.ndarray,
+           alpha: int, witness: bool, row: np.ndarray, win: np.ndarray, at: np.ndarray,
+           ident: np.ndarray) -> None:
+    """Walk the cuts of one row slice (see _cuts), recording each reached
+    cut in back and, with witness, its code in codes."""
     flat, m = table.ravel(), table.shape[1] // 2
     ranks = np.bincount(row)
     if ranks.max() > np.count_nonzero(ranks):
@@ -131,7 +117,7 @@ def _slice(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, back: np.nd
         hit = (code != -1).nonzero()[0]
         if not len(hit):
             return
-        first = np.full(len(live), len(row))
+        first = np.full(len(ranks), len(row))
         np.minimum.at(first, row[hit], hit)
         _reach(back, codes, win, at, code, first[first < len(row)])
         rest = (np.arange(len(row)) > first[row]).nonzero()[0]
@@ -148,29 +134,24 @@ def _slice(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, back: np.nd
         _reach(back, codes, c, b, code, (code != -1).nonzero()[0])
 
 
-def _cuts(table: np.ndarray, rows: np.ndarray, weights: np.ndarray, acc: np.ndarray,
-          live: np.ndarray, r0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cuts(table: np.ndarray, rows: np.ndarray, sums: np.ndarray, starts: np.ndarray,
+          prefix: np.ndarray, live: np.ndarray,
+          r0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per cut b of the live windows in the ROWS rows from r0, in window
     order: the window's index in live, the window, b and whether w[b-1] ==
-    p[b-1].  acc, each window's weight-sum difference to its pattern, is
-    moved from the slice's start to its end, unless the slice is the last."""
+    p[b-1]."""
     m = table.shape[1] // 2
     r1 = min(r0 + ROWS, m)
-    ws = table[live, r0:r1]
-    # A cut is a zero of the running difference to the pattern's weights.
-    diff = _weights(ws)
-    diff -= weights[rows[live], r0:r1]
-    np.add.accumulate(diff, axis=1, out=diff)
-    if r0:
-        diff += acc[live, None]
-    cut = diff == 0
+    s = starts[live]
+    # b is a cut where the window's fingerprint up to b equals the pattern's.
+    fp = prefix[s[:, None] + np.arange(r0 + 1, r1 + 1)]
+    fp -= prefix[s][:, None]
+    cut = fp == sums[rows[live], r0:r1]
     if r1 == m:
         cut &= cut[:, -1:]  # a window with no cut at m cannot match
-    else:
-        acc[live] = diff[:, -1]
     row, col = cut.nonzero()
     win, at = live[row], col + (r0 + 1)
-    return row, win, at, ws[row, col] == table[win, at + (m - 1)]
+    return row, win, at, table[win, at - 1] == table[win, at + (m - 1)]
 
 
 def _reach(back: np.ndarray, codes: np.ndarray | None, c: np.ndarray, b: np.ndarray,
@@ -237,12 +218,12 @@ def _walk(flat: np.ndarray, m: int, back: np.ndarray, c: np.ndarray, b: np.ndarr
     return code
 
 
-def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray,
-             patterns: np.ndarray, params: SearchParams,
+def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: np.ndarray,
+             weighed: Callable, params: SearchParams,
              witness: bool) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
     """Decide the windows t_arr[s:s+m] for s in starts, window i against
     row rows[i] of patterns, and yield (row, s, blocks) for the matching
-    ones in order.  The patterns are weighed only when a window is walked."""
+    ones in order; weighed() gives _decide its prefix and sums."""
     m = patterns.shape[1]
     w, p = t_arr[starts[:, None] + np.arange(m)], patterns.take(rows, axis=0)
     # A window equal to its pattern matches by identity alone, which is also
@@ -252,8 +233,9 @@ def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray,
     rest = (~exact).nonzero()[0]
     codes = None
     if len(rest):
-        found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest],
-                               _weights(patterns), params.alpha, params.beta, witness)
+        prefix, sums = weighed()
+        found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest], sums,
+                               starts[rest], prefix, params.alpha, params.beta, witness)
         matched[rest[found]] = True
     hits = matched.nonzero()[0]
     if witness:
@@ -290,8 +272,8 @@ def _blocks(code: list, m: int) -> tuple[Block, ...]:
     return tuple(reversed(blocks))
 
 
-def verify_windows(patterns: np.ndarray, text: np.ndarray, starts: np.ndarray,
-                   rows: np.ndarray, params: SearchParams,
+def verify_windows(patterns: np.ndarray, text: np.ndarray, prefix: np.ndarray | None,
+                   starts: np.ndarray, rows: np.ndarray, params: SearchParams,
                    witness: bool = False) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
     """Yield (r, s, blocks), in order, for each s = starts[i] whose window
     text[s:s+m] matches row r = rows[i] of patterns, a (k, m) code array.
@@ -299,12 +281,24 @@ def verify_windows(patterns: np.ndarray, text: np.ndarray, starts: np.ndarray,
     The one entry to the verifier: starts are taken CHUNK window symbols at
     a time, whatever their rows, and each chunk is decided by one decider
     run.  text, starts and rows are integer arrays, checked and coded by
-    the caller; params must be normalized for m.  blocks is the witness
-    when one is asked for, else None."""
+    the caller; params must be normalized for m.  prefix is
+    fingerprint_prefix(text), or None to build it when a window is first
+    walked; the rows' prefix sums are built then too, once per call.
+    blocks is the witness when one is asked for, else None."""
+
+    built: list[np.ndarray] = []
+
+    def weighed() -> list[np.ndarray]:
+        if not built:
+            sums = fingerprint_weights(patterns)
+            np.add.accumulate(sums, axis=1, out=sums)
+            built.extend((fingerprint_prefix(text) if prefix is None else prefix, sums))
+        return built
+
     step = max(1, CHUNK // patterns.shape[1])
     for i in range(0, len(starts), step):
-        yield from _advance(text, starts[i:i + step], rows[i:i + step], patterns, params,
-                            witness)
+        yield from _advance(text, starts[i:i + step], rows[i:i + step], patterns, weighed,
+                            params, witness)
 
 
 def _first(pattern: Sequence, text: Sequence, s: int, params: SearchParams | None,
@@ -322,7 +316,7 @@ def _first(pattern: Sequence, text: Sequence, s: int, params: SearchParams | Non
         if codes.ndim != 1 or codes.dtype.kind not in "iu":
             raise ValueError(f"{name} must be a str or a sequence of integers")
     params = normalize_params(params or maximal_params(m), m)
-    return next(verify_windows(p[None], w, _ORIGIN, _ORIGIN, params, witness), None)
+    return next(verify_windows(p[None], w, None, _ORIGIN, _ORIGIN, params, witness), None)
 
 
 def verify(pattern: Sequence, text: Sequence, s: int,

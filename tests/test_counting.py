@@ -196,8 +196,8 @@ class TestFingerprint:
     def test_forced_collisions_are_rejected(self, monkeypatch):
         # Every weight equal: every window has the pattern's fingerprint, so
         # only the exact confirmation decides.
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights",
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(23)
         for _ in range(200):
@@ -212,8 +212,8 @@ class TestFingerprint:
         # Weights equal in their low 32 bits (conftest.high_weights): in the
         # filter's 32-bit sums every window of a length has every row's
         # fingerprint, and the exact compare alone decides.
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights", high_weights)
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights", high_weights)
         rng = random.Random(43)
         for _ in range(150):
             pool = rng.choice([[0, 1, 2], [0, 1, 300], [7, 70000, 255]])
@@ -231,6 +231,7 @@ class TestFingerprint:
         # Weights and window compares are done a slice at a time; small
         # slices put many boundaries inside short texts.
         search = importlib.import_module("mdmatch.search")
+        core = importlib.import_module("mdmatch.core")
         rng = random.Random(29)
         cases = []
         for _ in range(60):
@@ -239,6 +240,7 @@ class TestFingerprint:
             cases.append(([rng.randrange(3) for _ in range(m)], t))
         whole = [fingerprint_prefix(t) for _, t in cases]
         monkeypatch.setattr(search, "_SLICE", size)
+        monkeypatch.setattr(core, "_TAKE", size)
         for (p, t), prefix in zip(cases, whole):
             assert (fingerprint_prefix(t) == prefix).all()
             assert scan_candidates(p, t).tolist() == _rolling_candidates(p, t)
@@ -265,6 +267,7 @@ class TestFingerprint:
         # whole text through symbol_weights; both must give the wrapping
         # prefix sums of symbol_weights reduced mod 2**32, at any slice size.
         search = importlib.import_module("mdmatch.search")
+        core = importlib.import_module("mdmatch.core")
         byte = st.integers(0, 255)
         other = st.integers(256, 0x10FFFF) | st.integers(-2**31, -1) | st.integers(2**32, 2**62)
         codes = data.draw(st.lists(byte, max_size=40)
@@ -275,14 +278,16 @@ class TestFingerprint:
         for w in symbol_weights(arr).tolist():
             sums.append((sums[-1] + w) % 2**64)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "_SLICE", data.draw(st.sampled_from([1, 2, 7, 1 << 15])))
+            size = data.draw(st.sampled_from([1, 2, 7, 1 << 15]))
+            patch.setattr(search, "_SLICE", size)
+            patch.setattr(core, "_TAKE", size)
             assert fingerprint_prefix(arr).tolist() == [x % 2**32 for x in sums]
 
     @pytest.mark.parametrize("n", [100_000, 400_000])
     def test_prefix_build_allocates_one_prefix(self, n):
         # The uint32 prefix and one take slice of indices (np.take converts
         # them to intp); no text-sized or slice-sized weight temporary.
-        search = importlib.import_module("mdmatch.search")
+        core = importlib.import_module("mdmatch.core")
         t = code_points(gen_random_text(n, 64, 5))
         fingerprint_prefix(t)
         tracemalloc.start()
@@ -291,7 +296,7 @@ class TestFingerprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (n + 1) + 8 * (search._SLICE // 4) + 16 * 1024
+        assert peak <= 4 * (n + 1) + 8 * core._TAKE + 16 * 1024
 
     def test_memory_bounded_when_every_window_hits(self):
         t = code_points("A" * 200_000)
@@ -352,8 +357,8 @@ class TestScanGroup:
         # Every weight equal: rows of different multisets share one
         # fingerprint, so one group holds them all and each hit is
         # confirmed against each row's own sorted symbols.
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights",
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(37)
         mixed = 0

@@ -362,8 +362,8 @@ class TestFingerprintFilter:
     def test_forced_collisions_keep_output_exact(self, monkeypatch):
         # Every weight equal: every window is a fingerprint hit, so the
         # filter's exact confirmation alone keeps find equal to the oracle.
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights",
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(1401)
         for _ in range(150):
@@ -380,8 +380,8 @@ class TestFingerprintFilter:
         # Weights equal in their low 32 bits (conftest.high_weights): every
         # window of a length collides in the filter's 32-bit fingerprints,
         # on the byte table and on the formula path (U+0100).
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights", high_weights)
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights", high_weights)
         rng = random.Random(1403)
         for _ in range(100):
             alphabet = rng.choice(["AB", "ABC", "AB\xffĀ"])
@@ -558,11 +558,39 @@ class TestFindMany:
         assert [self.tokens(occs) for occs in got] == \
             [self.tokens(matcher.find(q, with_witness=True)) for q in patterns]
 
+    def test_row_sums_built_once_per_group(self, monkeypatch):
+        # Rearranged copies of three patterns of one length, walked over
+        # several chunks: the rows' prefix sums are built once per group,
+        # and the text's prefix is the Matcher's own, built by the filter.
+        built, decided = [], []
+        for name in ("fingerprint_prefix", "fingerprint_weights"):
+            def counted(codes, name=name, original=getattr(verify_module, name)):
+                built.append((name, codes.shape))
+                return original(codes)
+            monkeypatch.setattr(verify_module, name, counted)
+        decide = verify_module._decide
+
+        def counted_decide(table, *rest):
+            decided.append(len(table))
+            return decide(table, *rest)
+
+        monkeypatch.setattr(verify_module, "_decide", counted_decide)
+        rng = random.Random(1503)
+        m = 8
+        patterns = [rand_string(rng, 4, m) for _ in range(3)]
+        text = "".join(q[m // 2:] + q[:m // 2] + rand_string(rng, 4, 3) for q in patterns * 20)
+        with small_chunks():
+            got = Matcher(text).find_many(patterns, with_witness=True)
+        assert len(decided) > 2 and sum(decided) >= 60
+        assert built == [("fingerprint_weights", (3, m))]
+        assert [positions(occs) for occs in got] == \
+            [positions(naive_search(p, text, maximal_params(m))) for p in patterns]
+
     def test_forced_collisions_share_one_key(self, monkeypatch):
         # Every weight equal: the patterns of one length all share one
         # fingerprint, different multisets included.
-        search = importlib.import_module("mdmatch.search")
-        monkeypatch.setattr(search, "symbol_weights",
+        core = importlib.import_module("mdmatch.core")
+        monkeypatch.setattr(core, "symbol_weights",
                             lambda codes: np.ones(len(codes), dtype=np.uint64))
         rng = random.Random(1501)
         for _ in range(60):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enum_match, rand_string, random_block_decomposition, witness_reference
+from conftest import (
+    enum_match,
+    high_weights,
+    rand_string,
+    random_block_decomposition,
+    witness_reference,
+)
+from mdmatch import core
 from mdmatch.core import (
     Block,
     IDENTITY,
@@ -192,6 +199,23 @@ class TestInput:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("fn", [verify, verify_with_witness])
+    def test_exact_copy_builds_no_prefix(self, fn, monkeypatch):
+        # An exact copy matches by one compare, so its call builds neither
+        # the window's fingerprint prefix nor the pattern's sums; a
+        # rearranged window builds each once.
+        built = []
+        for name in ("fingerprint_prefix", "fingerprint_weights"):
+            def counted(codes, name=name, original=getattr(verify_module, name)):
+                built.append(name)
+                return original(codes)
+            monkeypatch.setattr(verify_module, name, counted)
+        assert fn("abcab", "xxabcabxx", 2)
+        assert fn([5, 300, 5], [5, 300, 5], 0)
+        assert built == []
+        assert fn("abcab", "xxbacabxx", 2)
+        assert sorted(built) == ["fingerprint_prefix", "fingerprint_weights"]
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 10), st.integers(0, 30), st.integers(0, 30),
            st.booleans())
@@ -326,12 +350,16 @@ class TestWitness:
 def cut_test(p: str, windows: list[str], alpha: int, beta: int) -> list[bool]:
     """The decider, verify._decide, on windows given as strings: True where
     a window's chain of cuts reaches m."""
-    # Each window followed by the pattern, the one row of the group.
+    # Each window followed by the pattern, the one row of the group; the
+    # windows laid end to end are the text whose prefix gives their cuts.
     p_arr = code_points(p)
     table = np.stack([np.concatenate((code_points(w), p_arr)) for w in windows])
     rows = np.zeros(len(windows), dtype=np.intp)
-    weights = verify_module.symbol_weights(p_arr[None])
-    return verify_module._decide(table, rows, weights, alpha, beta, False)[0].tolist()
+    starts = np.arange(len(windows)) * len(p)
+    prefix = core.fingerprint_prefix(table[:, :len(p)].ravel())
+    sums = np.cumsum(core.fingerprint_weights(p_arr[None]), axis=1, dtype=np.uint32)
+    return verify_module._decide(table, rows, sums, starts, prefix, alpha, beta,
+                                 False)[0].tolist()
 
 
 class TestCutTest:
@@ -362,7 +390,7 @@ class TestCutTest:
     def test_colliding_weights_keep_every_match(self, monkeypatch):
         # Equal weights make every prefix a cut: the walk loses strength,
         # never a match.
-        monkeypatch.setattr(verify_module, "symbol_weights",
+        monkeypatch.setattr(core, "symbol_weights",
                             lambda codes: np.zeros(np.shape(codes), dtype=np.uint64))
         rng = random.Random(11)
         for _ in range(400):
@@ -421,7 +449,39 @@ class TestManyCuts:
         text = w + p
         with pytest.MonkeyPatch.context() as patch:
             if zero:
-                patch.setattr(verify_module, "symbol_weights", zero_weights)
+                patch.setattr(core, "symbol_weights", zero_weights)
+            assert verify_with_witness(p, w, 0, params) == witness_reference(p, w, alpha, beta)
+            found = {occ.position: occ.witness
+                     for occ in Matcher(text).find(p, params, with_witness=True)}
+        for s in range(len(text) - m + 1):
+            assert found.get(s) == witness_reference(p, text[s:s + m], alpha, beta)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 48),
+           st.sampled_from(["random", "binary", "periodic"]), st.integers(0, 2),
+           st.integers(0, 2))
+    def test_every_row_a_cut_keeps_the_witness(self, rng, m, kind, a, b):
+        # Weights equal in their low 32 bits (conftest.high_weights): in the
+        # shared 32-bit prefix every row of every window is a cut, so the
+        # exact block compares alone decide, with bounds 0, random or maximal.
+        alpha = (0, rng.randint(0, m // 2), m // 2)[a]
+        beta = (0, rng.randint(0, m), m)[b]
+        if kind == "periodic":
+            p = ("AC" * m)[rng.randint(0, 1):][:m]
+        else:
+            p = rand_string(rng, 2 if kind == "binary" else 6, m)
+        r = rng.random()
+        if r < 0.5:
+            w = apply_blocks(p, random_block_decomposition(rng, m, m // 2, m))
+        elif kind == "periodic" and r < 0.75:
+            w = ("AC" * m)[rng.randint(0, 1):][:m]
+        else:
+            w = "".join(rng.sample(p, m))
+        params = SearchParams(alpha, beta)
+        text = w + p + w[::-1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "symbol_weights", high_weights)
+            assert (np.diff(core.fingerprint_prefix(code_points(text))) == 1).all()
             assert verify_with_witness(p, w, 0, params) == witness_reference(p, w, alpha, beta)
             found = {occ.position: occ.witness
                      for occ in Matcher(text).find(p, params, with_witness=True)}
