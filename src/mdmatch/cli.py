@@ -77,8 +77,10 @@ def _load_patterns(args, parser) -> list[str]:
             # FASTA upper-cases and rejects bytes >= 0x80; raw patterns are verbatim.
             parser.error("--raw takes a pattern file of one pattern per line, not FASTA")
         return [rec.data for rec in _load_records(data, parser)]
-    if not args.raw:
-        _check_printable(data, parser)
+    if args.raw:
+        # Each line verbatim, spaces and tabs included, as -p takes it.
+        return [line.decode("latin-1") for line in data.splitlines() if line]
+    _check_printable(data, parser)
     return [line.strip().decode("latin-1")
             for line in data.splitlines() if line.strip()]
 

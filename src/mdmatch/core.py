@@ -11,6 +11,7 @@ pattern, reconstructs the matched text window.  Three block kinds exist:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +34,12 @@ class SearchParams:
     beta: int
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
 

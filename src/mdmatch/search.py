@@ -116,6 +116,13 @@ def scan_candidates(pattern: Sequence[int], text: Sequence[int],
     return scan_group(np.asarray(pattern)[None], text, prefix)[0]
 
 
+def _str(value: object, name: str) -> str:
+    """value, when it is a str; else a ValueError names the argument."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a str, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class SearchStats:
     candidates: int
@@ -133,11 +140,12 @@ class Matcher:
     A pattern symbol absent from the text simply gets no candidates.  The
     fingerprint prefix of the text, which the filter and the verifier
     share, is built by the first search and kept for the later ones, so
-    constructing a Matcher stays as cheap as encoding the text.
+    constructing a Matcher stays as cheap as encoding the text.  Text and
+    patterns are str; anything else raises a ValueError that names it.
     """
 
     def __init__(self, text: str):
-        self.text = text
+        self.text = _str(text, "text")
         self._t_arr = code_points(text)
         self._prefix = None
 
@@ -167,7 +175,7 @@ class Matcher:
                   with_witness: bool = False) -> Iterator[Occurrence]:
         """Yield occurrences in increasing position order, streaming: after
         the filter pass, each chunk's matches as it is verified."""
-        _, found = self._search_length([pattern], params, with_witness)
+        _, found = self._search_length([_str(pattern, "pattern")], params, with_witness)
         yield from (occ for _, occ in found)
 
     def find(self, pattern: str, params: SearchParams | None = None,
@@ -184,7 +192,7 @@ class Matcher:
         (verify_windows)."""
         by_length: dict[int, list[int]] = {}
         for i, pattern in enumerate(patterns):
-            by_length.setdefault(len(pattern), []).append(i)
+            by_length.setdefault(len(_str(pattern, "pattern")), []).append(i)
         found: list[list[Occurrence]] = [[] for _ in patterns]
         for ids in by_length.values():
             _, occs = self._search_length([patterns[i] for i in ids], params, with_witness)
@@ -194,7 +202,7 @@ class Matcher:
 
     def scan_all(self, pattern: str, params: SearchParams | None = None) -> list[Occurrence]:
         """Baseline: run the verifier at every position, no filter."""
-        m = len(pattern)
+        m = len(_str(pattern, "pattern"))
         params = normalize_params(params or maximal_params(m), m)  # raises when m == 0
         starts = np.arange(len(self.text) - m + 1)  # empty when m > n
         return [Occurrence(s) for _, s, _ in verify_windows(
@@ -204,7 +212,7 @@ class Matcher:
     def stats(self, pattern: str, params: SearchParams | None = None) -> SearchStats:
         """Candidate and match counts for one scan of the text: find's
         filter and verify work, counted."""
-        (cands,), found = self._search_length([pattern], params, False)
+        (cands,), found = self._search_length([_str(pattern, "pattern")], params, False)
         return SearchStats(candidates=len(cands), matches=sum(1 for _ in found),
                            positions_scanned=max(len(self.text) - len(pattern) + 1, 0))
 

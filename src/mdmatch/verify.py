@@ -41,7 +41,7 @@ Matcher included, reaches the decider through verify_windows.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -218,36 +218,6 @@ def _walk(flat: np.ndarray, m: int, back: np.ndarray, c: np.ndarray, b: np.ndarr
     return code
 
 
-def _advance(t_arr: np.ndarray, starts: np.ndarray, rows: np.ndarray, patterns: np.ndarray,
-             weighed: Callable, params: SearchParams,
-             witness: bool) -> Iterator[tuple[int, int, tuple[Block, ...] | None]]:
-    """Decide the windows t_arr[s:s+m] for s in starts, window i against
-    row rows[i] of patterns, and yield (row, s, blocks) for the matching
-    ones in order; weighed() gives _decide its prefix and sums."""
-    m = patterns.shape[1]
-    w, p = t_arr[starts[:, None] + np.arange(m)], patterns.take(rows, axis=0)
-    # A window equal to its pattern matches by identity alone, which is also
-    # the witness the tie-break gives it, so it skips the walk.
-    exact = (w == p).all(1)
-    matched = exact.copy()
-    rest = (~exact).nonzero()[0]
-    codes = None
-    if len(rest):
-        prefix, sums = weighed()
-        found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), rows[rest], sums,
-                               starts[rest], prefix, params.alpha, params.beta, witness)
-        matched[rest[found]] = True
-    hits = matched.nonzero()[0]
-    if witness:
-        slot = np.cumsum(~exact) - 1  # window -> its row of codes
-        for c in hits.tolist():
-            yield (int(rows[c]), int(starts[c]),
-                   _identity(m) if exact[c] else _blocks(codes[slot[c]].tolist(), m))
-    else:
-        for r, s in zip(rows[hits].tolist(), starts[hits].tolist()):
-            yield r, s, None
-
-
 @functools.lru_cache(maxsize=1)
 def _identity(m: int) -> tuple[Block, ...]:
     """The witness of a window equal to the pattern; Blocks are frozen, so
@@ -279,26 +249,41 @@ def verify_windows(patterns: np.ndarray, text: np.ndarray, prefix: np.ndarray | 
     text[s:s+m] matches row r = rows[i] of patterns, a (k, m) code array.
 
     The one entry to the verifier: starts are taken CHUNK window symbols at
-    a time, whatever their rows, and each chunk is decided by one decider
+    a time, whatever their rows; in each chunk the windows equal to their
+    patterns match by one compare, and the rest are decided by one decider
     run.  text, starts and rows are integer arrays, checked and coded by
     the caller; params must be normalized for m.  prefix is
     fingerprint_prefix(text), or None to build it when a window is first
     walked; the rows' prefix sums are built then too, once per call.
     blocks is the witness when one is asked for, else None."""
-
-    built: list[np.ndarray] = []
-
-    def weighed() -> list[np.ndarray]:
-        if not built:
-            sums = fingerprint_weights(patterns)
-            np.add.accumulate(sums, axis=1, out=sums)
-            built.extend((fingerprint_prefix(text) if prefix is None else prefix, sums))
-        return built
-
-    step = max(1, CHUNK // patterns.shape[1])
+    m = patterns.shape[1]
+    offsets, sums = np.arange(m), None
+    step = max(1, CHUNK // m)
     for i in range(0, len(starts), step):
-        yield from _advance(text, starts[i:i + step], rows[i:i + step], patterns, weighed,
-                            params, witness)
+        s, r = starts[i:i + step], rows[i:i + step]
+        w, p = text[s[:, None] + offsets], patterns.take(r, axis=0)
+        # A window equal to its pattern matches by identity alone, which is
+        # also the witness the tie-break gives it, so it skips the walk.
+        exact = (w == p).all(1)
+        matched = exact.copy()
+        rest = (~exact).nonzero()[0]
+        if len(rest):
+            if sums is None:
+                sums = fingerprint_weights(patterns).cumsum(axis=1, dtype=np.uint32)
+                if prefix is None:
+                    prefix = fingerprint_prefix(text)
+            found, codes = _decide(np.concatenate((w[rest], p[rest]), axis=1), r[rest], sums,
+                                   s[rest], prefix, params.alpha, params.beta, witness)
+            matched[rest[found]] = True
+        hits = matched.nonzero()[0]
+        if witness:
+            slot = np.cumsum(~exact) - 1  # window -> its row of codes
+            for c in hits.tolist():
+                yield (int(r[c]), int(s[c]),
+                       _identity(m) if exact[c] else _blocks(codes[slot[c]].tolist(), m))
+        else:
+            for row, start in zip(r[hits].tolist(), s[hits].tolist()):
+                yield row, start, None
 
 
 def _first(pattern: Sequence, text: Sequence, s: int, params: SearchParams | None,

@@ -134,6 +134,18 @@ class TestSearch:
         pats.write_bytes(b"ab\n\x80\x90\n")
         assert run_cli(capsys, *argv)[:2] == (0, "0\t\t0\n1\t\t4\n")
 
+    def test_raw_pattern_file_keeps_whitespace(self, tmp_path, capsys):
+        # A raw pattern file's line is the pattern byte for byte, leading
+        # and trailing spaces and tabs included, as -p gives it.
+        text, pats = tmp_path / "t.bin", tmp_path / "p.txt"
+        text.write_bytes(b"xx A\tB yy")
+        pats.write_bytes(b" A\tB \n\nA\r\n")
+        argv = ["search", "--raw", "--alpha", "0", "--beta", "0", str(text)]
+        code, inline, _ = run_cli(capsys, *argv[:-1], "-p", " A\tB ", str(text))
+        assert (code, inline) == (0, "0\t\t2\n")
+        code, from_file, _ = run_cli(capsys, *argv[:-1], "--pattern-file", str(pats), str(text))
+        assert (code, from_file) == (0, inline + "1\t\t3\n")
+
     def test_exact_windows_witnessed(self, tmp_path, capsys):
         # A periodic text: every fourth window is an exact copy, witnessed by
         # identity alone; the rotations between are decided by the walk.

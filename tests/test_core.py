@@ -12,6 +12,8 @@ from mdmatch.core import (
     maximal_params,
     normalize_params,
 )
+from mdmatch.search import Matcher
+from mdmatch.verify import verify
 
 
 class TestCodePoints:
@@ -57,6 +59,20 @@ class TestParams:
             SearchParams(-1, 0)
         with pytest.raises(ValueError):
             SearchParams(0, -2)
+
+    def test_non_integer_rejected(self):
+        # A bound operator.index rejects raises a ValueError naming it, on
+        # construction, not deep in a search or a verify call.
+        for alpha, beta, name in ((1.5, 2, "alpha"), (1, 2.0, "beta"), ("1", 2, "alpha"),
+                                  (1, None, "beta"), (np.float64(1), 2, "alpha")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                SearchParams(alpha, beta)
+        # Python and numpy integers are bounds.
+        assert normalize_params(SearchParams(np.int64(9), np.uint8(3)), 8) == SearchParams(4, 3)
+        params = SearchParams(np.int32(2), np.int64(0))
+        assert verify("abba", "baab", 0, params)
+        assert Matcher("abab" * 4).find("abba", params) == \
+            Matcher("abab" * 4).find("abba", SearchParams(2, 0))
 
     def test_maximal(self):
         assert maximal_params(9) == SearchParams(4, 9)

@@ -14,6 +14,7 @@ from mdmatch.verify import verify_with_witness
 
 # The module itself: the package exports a function of the same name.
 verify_module = importlib.import_module("mdmatch.verify")
+search_module = importlib.import_module("mdmatch.search")
 
 # A chunk budget of window symbols for the tests that cross chunk seams.
 BUDGET = 128
@@ -128,6 +129,23 @@ class TestMatcher:
         matcher = Matcher("aaaa")
         assert matcher.find("az") == []
         assert positions(matcher.find("aa")) == [0, 1, 2]
+
+    @pytest.mark.parametrize("text, pattern, name", [
+        ([0, 1, 0], "ab", "text"), (b"abab", "ab", "text"), ("abab", b"ab", "pattern"),
+        ("abab", 5, "pattern"), ("abab", ["a", "b"], "pattern")])
+    def test_non_str_rejected(self, text, pattern, name):
+        # A ValueError that names the argument, from every entry point.
+        calls = [lambda: filtered_search(pattern, text)]
+        if name == "text":
+            calls.append(lambda: Matcher(text))
+        else:
+            matcher = Matcher(text)
+            calls += [lambda: matcher.find(pattern), lambda: matcher.find_many(["ab", pattern]),
+                      lambda: list(matcher.iter_find(pattern)), lambda: matcher.stats(pattern),
+                      lambda: matcher.scan_all(pattern)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name} must be a str"):
+                call()
 
     def test_generated_matches_found(self):
         rng = random.Random(864)
@@ -247,16 +265,17 @@ class TestWitnessPass:
             self.check(p, text, params)
 
     def test_one_engine_run_per_candidate(self, monkeypatch):
-        # find_many advances each (row, start) pair of a length group once,
-        # duplicate and permuted rows included; find is its one-row case.
-        engine = verify_module._advance
-        advanced = []
+        # find_many hands each (row, start) pair of a length group to the
+        # verifier once, duplicate and permuted rows included; find is its
+        # one-row case.
+        engine = search_module.verify_windows
+        handed = []
 
-        def counted(t_arr, starts, rows, *rest):
-            advanced.extend(zip(rows.tolist(), starts.tolist()))
-            return engine(t_arr, starts, rows, *rest)
+        def counted(patterns, text, prefix, starts, rows, *rest):
+            handed.extend(zip(rows.tolist(), starts.tolist()))
+            return engine(patterns, text, prefix, starts, rows, *rest)
 
-        monkeypatch.setattr(verify_module, "_advance", counted)
+        monkeypatch.setattr(search_module, "verify_windows", counted)
         rng = random.Random(1203)
         for m in (6, 100):
             params = maximal_params(m)
@@ -266,14 +285,14 @@ class TestWitnessPass:
             candidates = [scan_candidates(code_points(q), t_arr).tolist() for q in patterns]
             matcher = Matcher(text)
             for with_witness in (False, True):
-                advanced.clear()
+                handed.clear()
                 found = matcher.find_many(patterns, params, with_witness=with_witness)
-                assert advanced == [(r, s) for r, cands in enumerate(candidates) for s in cands]
+                assert handed == [(r, s) for r, cands in enumerate(candidates) for s in cands]
                 assert all((occ.witness is not None) == with_witness
                            for occs in found for occ in occs)
-                advanced.clear()
+                handed.clear()
                 occs = matcher.find(p, params, with_witness=with_witness)
-                assert advanced == [(0, s) for s in candidates[0]]
+                assert handed == [(0, s) for s in candidates[0]]
                 assert all((occ.witness is not None) == with_witness for occ in occs)
 
     @small_chunks()
@@ -585,6 +604,55 @@ class TestFindMany:
         assert built == [("fingerprint_weights", (3, m))]
         assert [positions(occs) for occs in got] == \
             [positions(naive_search(p, text, maximal_params(m))) for p in patterns]
+
+    @staticmethod
+    def count_weighing(monkeypatch):
+        """Patch the verifier's row weighing and decider to count their
+        calls: the lists of the rows weighed and of each run's table rows."""
+        weighed, decided = [], []
+        weights, decide = verify_module.fingerprint_weights, verify_module._decide
+
+        def counted_weights(codes):
+            weighed.append(codes.shape)
+            return weights(codes)
+
+        def counted_decide(table, *rest):
+            decided.append(len(table))
+            return decide(table, *rest)
+
+        monkeypatch.setattr(verify_module, "fingerprint_weights", counted_weights)
+        monkeypatch.setattr(verify_module, "_decide", counted_decide)
+        return weighed, decided
+
+    def test_exact_copies_weigh_no_rows(self, monkeypatch):
+        # Every candidate is an exact copy of its pattern: each matches by
+        # one compare, so no row is weighed and the decider never runs.
+        weighed, decided = self.count_weighing(monkeypatch)
+        patterns = ["abcd", "efgh", "ijkl"]
+        text = "zabcdzzefghzabcdzijklz"
+        for with_witness in (False, True):
+            got = Matcher(text).find_many(patterns, with_witness=with_witness)
+            assert [positions(occs) for occs in got] == [[1, 12], [7], [17]]
+        assert weighed == [] and decided == []
+
+    @small_chunks()
+    def test_rows_weighed_at_first_walked_chunk(self, monkeypatch):
+        # The first chunk holds exact copies only; the later ones hold
+        # rearranged copies, walked with row sums weighed once per call.
+        weighed, decided = self.count_weighing(monkeypatch)
+        m = 8
+        p, q = "abcdefgh", "stuvwxyz"
+        step = BUDGET // m
+        text = (p + "-") * (step + 2) + (p[m // 2:] + p[:m // 2] + "-") * (2 * step) + q
+        matcher = Matcher(text)
+        for with_witness in (False, True):
+            weighed.clear()
+            decided.clear()
+            got = matcher.find_many([p, q], with_witness=with_witness)
+            assert weighed == [(2, m)]
+            assert len(decided) == 3 and sum(decided) == 2 * step
+            assert [positions(occs) for occs in got] == \
+                [positions(naive_search(r, text, maximal_params(m))) for r in (p, q)]
 
     def test_forced_collisions_share_one_key(self, monkeypatch):
         # Every weight equal: the patterns of one length all share one
