@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: search (match listing as TSV), density (candidate-density
-experiment as CSV), bench (timing experiment as CSV), gen (random text
-files).  Exit codes: 0 success, 1 I/O error, 2 usage error, 3 malformed
-data (a text or FASTA pattern file that read_fasta rejects).  MDMATCH_SEED
-supplies a default seed; explicit flags win, and a malformed value is a
-usage error.
+Subcommands: search (match listing as TSV), bench (the experiment as CSV:
+per pattern length, mean search time, candidate density, mean match count
+and the theoretical density), gen (random text files).  Exit codes: 0
+success, 1 I/O error, 2 usage error, 3 malformed data (a text or FASTA
+pattern file that read_fasta rejects).  MDMATCH_SEED supplies a default
+seed; explicit flags win, and a malformed value is a usage error.
 """
 
 from __future__ import annotations
@@ -129,10 +129,12 @@ def cmd_search(args, parser) -> int:
                         if m not in identity:
                             identity[m] = " ".join(b.token() for b in occ.witness)
                         fields.append(identity[m])
-                lines.append((pid, rec.id, occ.position, "\t".join(fields)))
-    lines.sort(key=lambda item: item[:3])
+                lines.append((pid, rec.id, "\t".join(fields)))
+    # Stable: records that share an id keep file order, each one's
+    # positions already ascending.
+    lines.sort(key=lambda item: item[:2])
     for line in lines:
-        print(line[3])
+        print(line[2])
     return 0
 
 
@@ -140,8 +142,6 @@ def _check_lengths(parser, args, lengths: list[int], text: str) -> None:
     # Checked before any output, so a failed run prints no partial CSV.
     if args.count < 1:
         parser.error("--count must be >= 1")
-    if min(lengths) < 1:
-        parser.error("pattern length -m must be >= 1")
     if max(lengths) > len(text):
         parser.error("pattern length exceeds text length")
 
@@ -152,62 +152,42 @@ def _check_bounds(parser, args) -> None:
             parser.error(f"{flag} must be >= 0")
 
 
-def cmd_density(args, parser) -> int:
-    text, sigma = _experiment_text(args, parser)
-    _check_lengths(parser, args, [args.length], text)
-    _check_bounds(parser, args)
-    params = _params_for(args.length, args.alpha, args.beta)
-    patterns = extract_patterns(text, args.length, args.count, args.seed)
-    matcher = Matcher(text)
-    density_sum = 0.0
-    match_sum = 0
-    prob_sum = 0.0
-    for pattern in patterns:
-        stats = matcher.stats(pattern, params)
-        density_sum += stats.candidate_density
-        match_sum += stats.matches
-        prob_sum += permutation_probability(Counter(pattern), args.length, sigma)
-    count = len(patterns)
-    print("m,sigma,count,mean_candidate_density,mean_match_count,theoretical_probability")
-    print(f"{args.length},{sigma},{count},{density_sum / count:.8g},"
-          f"{match_sum / count:.8g},{prob_sum / count:.8g}")
-    return 0
-
-
-def _mean_ms(fn, patterns, params, runs: int):
-    """Mean wall time of fn(pattern, params) in ms, and the last run's results."""
+def _mean_ms(fn, patterns, params):
+    """Mean wall time of fn(pattern, params) in ms, and its results."""
     elapsed = 0.0
-    for _ in range(runs):
-        results = []
-        for pattern in patterns:
-            t0 = time.perf_counter()
-            results.append(fn(pattern, params))
-            elapsed += time.perf_counter() - t0
-    return 1000.0 * elapsed / (runs * len(patterns)), results
+    results = []
+    for pattern in patterns:
+        t0 = time.perf_counter()
+        results.append(fn(pattern, params))
+        elapsed += time.perf_counter() - t0
+    return 1000.0 * elapsed / len(patterns), results
 
 
 def cmd_bench(args, parser) -> int:
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    text, _sigma = _experiment_text(args, parser)
+    text, sigma = _experiment_text(args, parser)
     _check_lengths(parser, args, args.lengths, text)
     _check_bounds(parser, args)
     matcher = Matcher(text)
-    print("m,algorithm,mean_ms,candidates_per_position")
+    print("m,sigma,count,algorithm,mean_ms,candidates_per_position,"
+          "mean_match_count,theoretical_probability")
     for m in args.lengths:
         params = _params_for(m, args.alpha, args.beta)
         patterns = extract_patterns(text, m, args.count, args.seed)
+        count = len(patterns)
         # One untimed call builds the text's fingerprint prefix, so the
         # first length timed is not charged for it.
         matcher.stats(patterns[0], params)
         # Matcher.stats does find's filter and verify work and also counts
-        # the candidates, so one timed pass gives both columns.
-        mean_ms, stats = _mean_ms(matcher.stats, patterns, params, args.runs)
-        density = sum(st.candidates for st in stats) / (len(patterns) * (len(text) - m + 1))
-        print(f"{m},filtered,{mean_ms:.3f},{density:.8g}")
+        # the candidates, so one timed pass gives the time and the counts.
+        mean_ms, stats = _mean_ms(matcher.stats, patterns, params)
+        # The pattern set's means, untimed; the same on the baseline's row.
+        sums = (sum(st.candidate_density for st in stats), sum(st.matches for st in stats),
+                sum(permutation_probability(Counter(p), m, sigma) for p in patterns))
+        columns = ",".join(f"{total / count:.8g}" for total in sums)
+        print(f"{m},{sigma},{count},filtered,{mean_ms:.3f},{columns}")
         if args.baseline:
-            mean_ms, _ = _mean_ms(matcher.scan_all, patterns, params, args.runs)
-            print(f"{m},scan_all,{mean_ms:.3f},{density:.8g}")
+            mean_ms, _ = _mean_ms(matcher.scan_all, patterns, params)
+            print(f"{m},{sigma},{count},scan_all,{mean_ms:.3f},{columns}")
     return 0
 
 
@@ -268,24 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("text_file", metavar="TEXT", help="text file to search")
     p_search.set_defaults(func=cmd_search, parser=p_search)
 
-    p_density = subs.add_parser("density", help="candidate-density experiment (CSV)")
-    _add_experiment_source(p_density)
-    p_density.add_argument("-m", "--length", type=int, required=True, help="pattern length")
-    p_density.add_argument("--count", type=int, default=200,
-                           help="number of extracted patterns (default 200)")
-    _add_params(p_density)
-    p_density.add_argument("--seed", type=int, default=None,
-                           help="pattern-extraction seed (default MDMATCH_SEED or 0)")
-    p_density.set_defaults(func=cmd_density, parser=p_density)
-
-    p_bench = subs.add_parser("bench", help="timing experiment (CSV)")
+    p_bench = subs.add_parser("bench", help="timing and candidate-density experiment (CSV)")
     _add_experiment_source(p_bench)
     p_bench.add_argument("-m", "--lengths", type=_int_list, required=True,
                          help="comma-separated pattern lengths, e.g. 8,16,32")
     p_bench.add_argument("--count", type=int, default=200,
                          help="number of extracted patterns per length (default 200)")
-    p_bench.add_argument("--runs", type=int, default=1,
-                         help="repeat the timed pattern set this many times")
     _add_params(p_bench)
     p_bench.add_argument("--baseline", action="store_true",
                          help="also time the verify-everywhere baseline")

@@ -41,6 +41,7 @@ Matcher included, reaches the decider through verify_windows.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -293,6 +294,10 @@ def _first(pattern: Sequence, text: Sequence, s: int, params: SearchParams | Non
     m = len(pattern)
     if m == 0:
         raise ValueError("empty pattern")
+    try:
+        s = operator.index(s)
+    except TypeError:
+        raise ValueError(f"s must be an integer, not {type(s).__name__}") from None
     if not 0 <= s <= len(text) - m:
         raise ValueError("position out of bounds")
     p = code_points(pattern) if isinstance(pattern, str) else np.asarray(pattern)
@@ -309,8 +314,9 @@ def verify(pattern: Sequence, text: Sequence, s: int,
     """True iff the pattern matches t[s..s+m-1] under the given bounds.
 
     pattern and text are each a str, coded by code point, or a sequence of
-    integer codes; else a ValueError names the argument.  Only the window
-    is coded, so a call's cost does not grow with the text.
+    integer codes, and s is an integer; else a ValueError names the
+    argument.  Only the window is coded, so a call's cost does not grow with
+    the text.
     """
     return _first(pattern, text, s, params, False) is not None
 

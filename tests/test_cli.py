@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+BENCH_HEADER = ("m,sigma,count,algorithm,mean_ms,candidates_per_position,"
+                "mean_match_count,theoretical_probability")
+
+
+def untimed(out):
+    """bench's CSV rows without the mean_ms column, the one that varies."""
+    rows = [line.split(",") for line in out.splitlines()]
+    return [row[:4] + row[5:] for row in rows]
+
+
 class TestSearch:
     def test_basic_listing(self, tmp_path, capsys):
         text = tmp_path / "t.txt"
@@ -194,8 +204,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "-2")])
     def test_negative_bound_is_usage_error(self, tmp_path, capsys, flag, value):
-        # Named as density and bench name it, under the subcommand's usage
-        # line, whether or not a record is as long as the pattern.
+        # Named as bench names it, under the subcommand's usage line,
+        # whether or not a record is as long as the pattern.
         text = tmp_path / "t.txt"
         for data in ("abba", "a"):
             text.write_text(data)
@@ -205,6 +215,15 @@ class TestSearch:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("usage: mdmatch search")
             assert f"{flag} must be >= 0" in err
+
+    def test_records_that_share_an_id_stay_apart(self, tmp_path, capsys):
+        # Each record's matches in file order, not merged by position.
+        text = tmp_path / "t.fa"
+        text.write_text(">r\nGGGGGAB\n>r\nGGGAB\n")
+        code, out, _ = run_cli(capsys, "search", "-p", "AB", "--alpha", "0", "--beta", "0",
+                               str(text))
+        assert code == 0
+        assert out == "0\tr\t5\n0\tr\t3\n"
 
     def test_case_folded_against_fasta(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
@@ -257,14 +276,14 @@ class TestUsageErrors:
                    "bad length list: '0'")
 
     def test_density_one_symbol_alphabet(self, capsys):
-        self.check(capsys, ["density", "--random", "100", "1", "0", "-m", "4"], "density",
+        self.check(capsys, ["bench", "--random", "100", "1", "0", "-m", "4"], "bench",
                    "alphabet size must be at least 2")
 
 
 def test_density_uses_the_first_of_several_records(tmp_path, capsys):
     text = tmp_path / "two.fa"
     text.write_text(">a\nACACACACAC\n>b\nGGTT\n")
-    code, out, err = run_cli(capsys, "density", "--text-file", str(text), "-m", "4",
+    code, out, err = run_cli(capsys, "bench", "--text-file", str(text), "-m", "4",
                              "--count", "3")
     assert code == 0
     assert "note: using first of 2 records" in err
@@ -322,35 +341,38 @@ class TestDataErrors:
     def test_density_text_file_with_a_bad_byte(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
         text.write_bytes(b"ACGT" * 50 + b"\x7f" + b"ACGT" * 50)
-        self.check(capsys, ["density", "--text-file", str(text), "-m", "4", "--count", "5"],
+        self.check(capsys, ["bench", "--text-file", str(text), "-m", "4", "--count", "5"],
                    "non-printable byte 0x7f at offset 200")
 
 
 class TestDensity:
+    """The density experiment: bench's candidates_per_position,
+    mean_match_count and theoretical_probability columns."""
+
     def test_random_text_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "density", "--random", "2000", "4", "1",
+        code, out, _ = run_cli(capsys, "bench", "--random", "2000", "4", "1",
                                "-m", "4", "--count", "10", "--seed", "3")
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header == ("m,sigma,count,mean_candidate_density,"
-                          "mean_match_count,theoretical_probability")
+        assert header == BENCH_HEADER
         fields = row.split(",")
-        assert fields[0] == "4" and fields[1] == "4" and fields[2] == "10"
-        density, matches, prob = map(float, fields[3:])
+        assert fields[:4] == ["4", "4", "10", "filtered"]
+        mean_ms, density, matches, prob = map(float, fields[4:])
+        assert mean_ms >= 0
         assert 0 <= density <= 1
         assert matches >= 1  # every extracted pattern occurs at least once
         assert 0 < prob < 1
 
     def test_deterministic(self, capsys):
-        args = ["density", "--random", "1000", "4", "9", "-m", "6", "--count", "5"]
+        args = ["bench", "--random", "1000", "4", "9", "-m", "6", "--count", "5", "--baseline"]
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
-        assert first == second
+        assert untimed(first) == untimed(second)
 
     def test_text_file_source(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
         text.write_text(">r\n" + "ACGT" * 200 + "\n")
-        code, out, _ = run_cli(capsys, "density", "--text-file", str(text),
+        code, out, _ = run_cli(capsys, "bench", "--text-file", str(text),
                                "-m", "4", "--count", "5")
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[1] == "4"
@@ -358,58 +380,61 @@ class TestDensity:
     def test_blank_line_before_first_header(self, tmp_path, capsys):
         text = tmp_path / "t.fa"
         text.write_text("\n>r\n" + "ACGT" * 200 + "\n")
-        code, out, err = run_cli(capsys, "density", "--text-file", str(text),
+        code, out, err = run_cli(capsys, "bench", "--text-file", str(text),
                                  "-m", "4", "--count", "5")
         assert code == 0 and "note:" not in err
         assert out.strip().splitlines()[1].split(",")[:3] == ["4", "4", "5"]
 
     def test_zero_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["density", "--random", "100", "4", "0", "-m", "4", "--count", "0"])
+            main(["bench", "--random", "100", "4", "0", "-m", "4", "--count", "0"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["-m", "-3"], "-m must be >= 1"),
+        (["-m", "-3"], "bad length list: '-3'"),
         (["-m", "4", "--beta", "-1"], "--beta must be >= 0"),
     ])
     def test_bad_parameter_is_named(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["density", "--random", "100", "4", "0", *argv])
+            main(["bench", "--random", "100", "4", "0", *argv])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
     def test_empirical_tracks_theoretical_on_uniform_text(self, capsys):
-        code, out, _ = run_cli(capsys, "density", "--random", "100000", "4", "11",
+        code, out, _ = run_cli(capsys, "bench", "--random", "100000", "4", "11",
                                "-m", "5", "--count", "20", "--seed", "2")
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
-        empirical, theoretical = float(row[3]), float(row[5])
+        empirical, theoretical = float(row[5]), float(row[7])
         assert empirical == pytest.approx(theoretical, rel=0.25)
 
 
 class TestBench:
     def test_smoke(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--random", "1500", "8", "2",
-                               "-m", "4,8", "--count", "3", "--runs", "1", "--baseline")
+                               "-m", "4,8", "--count", "3", "--baseline")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "m,algorithm,mean_ms,candidates_per_position"
+        assert lines[0] == BENCH_HEADER
         rows = [line.split(",") for line in lines[1:]]
-        assert [(r[0], r[1]) for r in rows] == [
+        assert [(r[0], r[3]) for r in rows] == [
             ("4", "filtered"), ("4", "scan_all"),
             ("8", "filtered"), ("8", "scan_all"),
         ]
         for r in rows:
-            assert float(r[2]) >= 0.0
+            assert r[1:3] == ["8", "3"]
+            assert float(r[4]) >= 0.0
+        # The pattern set's columns, the same on the baseline's row.
+        assert rows[0][5:] == rows[1][5:] and rows[2][5:] == rows[3][5:]
 
-    def test_zero_runs_is_usage_error(self, capsys):
+    def test_runs_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--random", "100", "4", "0", "-m", "4", "--runs", "0"])
+            main(["bench", "--random", "100", "4", "0", "-m", "4", "--runs", "1"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--runs must be >= 1" in err and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --runs" in err
 
     @pytest.mark.parametrize("argv", [["-m", "8", "--count", "0"], ["-m", "8,100"],
                                       ["-m", "8", "--alpha", "-1"]])
@@ -462,12 +487,12 @@ class TestGen:
 class TestEnvSeed:
     def test_env_seed_used_as_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MDMATCH_SEED", "123")
-        args = ["density", "--random", "1000", "4", "4", "-m", "5", "--count", "4"]
-        _, with_env, _ = run_cli(capsys, *args)
+        args = ["bench", "--random", "1000", "4", "4", "-m", "5", "--count", "4"]
+        with_env = untimed(run_cli(capsys, *args)[1])
         monkeypatch.setenv("MDMATCH_SEED", "124")
-        _, other_env, _ = run_cli(capsys, *args)
+        other_env = untimed(run_cli(capsys, *args)[1])
         monkeypatch.delenv("MDMATCH_SEED")
-        _, explicit, _ = run_cli(capsys, *args, "--seed", "123")
+        explicit = untimed(run_cli(capsys, *args, "--seed", "123")[1])
         assert with_env == explicit
         assert with_env != other_env
 
@@ -490,4 +515,4 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mdmatch", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "search" in proc.stdout and "density" in proc.stdout
+    assert "{search,bench,gen}" in proc.stdout

@@ -184,6 +184,13 @@ class TestInput:
             fn(pattern, text, 0)
 
     @pytest.mark.parametrize("fn", [verify, verify_with_witness])
+    @pytest.mark.parametrize("s", [1.0, "1", None])
+    def test_position_that_is_not_an_integer(self, fn, s):
+        with pytest.raises(ValueError, match=f"^s must be an integer, not {type(s).__name__}$"):
+            fn("ab", "xab", s)
+        assert fn("ab", "xab", np.int64(1))
+
+    @pytest.mark.parametrize("fn", [verify, verify_with_witness])
     def test_memory_does_not_grow_with_the_text(self, fn):
         text = gen_random_text(1_000_000, 4, 3)
         s, m = 700_001, 32
