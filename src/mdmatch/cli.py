@@ -3,9 +3,10 @@
 Subcommands: search (match listing as TSV), bench (the experiment as CSV:
 per pattern length, mean search time, candidate density, mean match count
 and the theoretical density), gen (random text files).  Exit codes: 0
-success, 1 I/O error, 2 usage error, 3 malformed data (a text or FASTA
-pattern file that read_fasta rejects).  MDMATCH_SEED supplies a default
-seed; explicit flags win, and a malformed value is a usage error.
+success, 1 I/O error, 2 usage error, 3 malformed data.  main maps OSError,
+ValueError and ingest's MalformedDataError to 1, 2 and 3, and exits 1 and
+quietly when the reader closes stdout (`| head`).  MDMATCH_SEED supplies a
+default seed; explicit flags win, and a malformed value is a usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import time
 from collections import Counter
 
 from .core import SearchParams, normalize_params
-from .ingest import check_sequence_bytes, extract_patterns, gen_random_text, read_fasta
+from .ingest import (MalformedDataError, check_sequence_bytes, extract_patterns,
+                     gen_random_text, read_fasta)
 from .oracle import permutation_probability
 from .search import Matcher
 
@@ -41,26 +43,6 @@ def _params_for(m: int, alpha: int | None, beta: int | None) -> SearchParams:
     return normalize_params(params, m)
 
 
-def _load_records(source, parser, raw: bool = False):
-    """read_fasta of a file path or of bytes; data it rejects exits 3."""
-    try:
-        if isinstance(source, bytes):
-            return read_fasta(source, raw=raw)
-        with open(source, "rb") as fh:
-            return read_fasta(fh, raw=raw)
-    except ValueError as exc:
-        parser.exit(3, f"error: {exc}\n")
-
-
-def _check_printable(data: bytes, parser) -> None:
-    """Patterns outside --raw hold what a FASTA sequence may; a byte that
-    read_fasta rejects exits 3, as in a text."""
-    try:
-        check_sequence_bytes(data)
-    except ValueError as exc:
-        parser.exit(3, f"error: {exc}\n")
-
-
 def _load_patterns(args, parser) -> list[str]:
     if args.pattern is not None:
         # argv arrives decoded with the file-system encoding; a --raw text is
@@ -68,7 +50,8 @@ def _load_patterns(args, parser) -> list[str]:
         data = os.fsencode(args.pattern)
         if args.raw:
             return [data.decode("latin-1")]
-        _check_printable(data, parser)
+        # Patterns outside --raw hold what a FASTA sequence may, as a text.
+        check_sequence_bytes(data)
         return [args.pattern]
     with open(args.pattern_file, "rb") as fh:
         data = fh.read()
@@ -76,11 +59,11 @@ def _load_patterns(args, parser) -> list[str]:
         if args.raw:
             # FASTA upper-cases and rejects bytes >= 0x80; raw patterns are verbatim.
             parser.error("--raw takes a pattern file of one pattern per line, not FASTA")
-        return [rec.data for rec in _load_records(data, parser)]
+        return [rec.data for rec in read_fasta(data)]
     if args.raw:
         # Each line verbatim, spaces and tabs included, as -p takes it.
         return [line.decode("latin-1") for line in data.splitlines() if line]
-    _check_printable(data, parser)
+    check_sequence_bytes(data)
     return [line.strip().decode("latin-1")
             for line in data.splitlines() if line.strip()]
 
@@ -93,7 +76,8 @@ def _experiment_text(args, parser) -> tuple[str, int]:
             return gen_random_text(n, sigma, seed), sigma
         except ValueError as exc:
             parser.error(str(exc))
-    records = _load_records(args.text_file, parser)
+    with open(args.text_file, "rb") as fh:
+        records = read_fasta(fh)
     if len(records) > 1:
         print(f"note: using first of {len(records)} records", file=sys.stderr)
     text = records[0].data
@@ -107,7 +91,8 @@ def cmd_search(args, parser) -> int:
     if not args.raw:
         # read_fasta upper-cases sequence data; fold patterns the same way
         patterns = [p.upper() for p in patterns]
-    records = _load_records(args.text_file, parser, args.raw)
+    with open(args.text_file, "rb") as fh:
+        records = read_fasta(fh, raw=args.raw)
     if not all(patterns):
         parser.error("empty pattern")
     _check_bounds(parser, args)
@@ -279,10 +264,18 @@ def main(argv=None) -> int:
     if "seed" in args and args.seed is None:
         args.seed = _env_seed(parser)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        print(end="", flush=True)  # a closed pipe raises here; a None stdout passes
+        return code
+    except BrokenPipeError:
+        # The reader has gone; send the interpreter's final flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return IO_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
+    except MalformedDataError as exc:
+        parser.exit(3, f"error: {exc}\n")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

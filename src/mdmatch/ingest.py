@@ -24,6 +24,10 @@ _SEQUENCE_BYTES = bytes(range(0x21, 0x7F)) + _WHITESPACE
 _UPPER = bytes(b if 0x21 <= b < 0x7F else 0 for b in range(256)).upper()
 
 
+class MalformedDataError(ValueError):
+    """Data with no sequence, or with a byte that a sequence may not hold."""
+
+
 @dataclass(frozen=True)
 class SequenceRecord:
     id: str
@@ -40,10 +44,11 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
 
     Default mode accepts '>'-headed FASTA (one record per header; one
     translate joins its sequence lines, drops whitespace, upper-cases and
-    marks any other byte, which raises ValueError with its offset) and
-    treats sequence lines before the first header as a single anonymous
+    marks any other byte, which raises MalformedDataError with its offset)
+    and treats sequence lines before the first header as a single anonymous
     record; blank lines there open no record.  raw=True returns the bytes
-    verbatim as one record, except for one trailing newline removed.
+    verbatim as one record, except for one trailing newline removed.  Empty
+    input, or blank input outside raw, raises MalformedDataError too.
 
     source is bytes, a binary or text file object, or a str.  A str is the
     data itself, encoded as latin-1, not a path: read_fasta("w.txt")
@@ -53,14 +58,14 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     data = _read_bytes(source)
     if raw:
         if not data:
-            raise ValueError("no sequences")
+            raise MalformedDataError("no sequences")
         if data.endswith(b"\r\n"):
             data = data[:-2]
         elif data.endswith(b"\n"):
             data = data[:-1]
         return [SequenceRecord("", data.decode("latin-1"))]
     if not data.strip():
-        raise ValueError("no sequences")
+        raise MalformedDataError("no sequences")
     records: list[SequenceRecord] = []
     for k, (header, seq, start) in enumerate(_split_records(data)):
         out = seq.translate(_UPPER, delete=_WHITESPACE)
@@ -73,12 +78,12 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
 
 
 def check_sequence_bytes(seq: bytes, start: int = 0) -> None:
-    """Raise ValueError naming the first byte of seq that a sequence may not
-    hold, if any, and its offset, start plus its index in seq."""
+    """Raise MalformedDataError naming the first byte of seq that a sequence
+    may not hold, if any, and its offset, start plus its index in seq."""
     bad = seq.translate(None, delete=_SEQUENCE_BYTES)
     if bad:
-        raise ValueError(f"non-printable byte 0x{bad[0]:02x} at offset "
-                         f"{start + seq.index(bad[0])}")
+        raise MalformedDataError(f"non-printable byte 0x{bad[0]:02x} at offset "
+                                 f"{start + seq.index(bad[0])}")
 
 
 def _split_records(data: bytes) -> list[tuple[bytes, bytes, int]]:

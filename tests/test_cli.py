@@ -516,3 +516,47 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "{search,bench,gen}" in proc.stdout
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as `| head -n 1` does, ends the run
+    with exit 1 and nothing on stderr."""
+
+    def test_search_piped_into_head(self, tmp_path):
+        # About 0.9 MB of matches, far more than a pipe buffers, so the
+        # search is still writing when the reader goes.
+        text = tmp_path / "a.txt"
+        text.write_bytes(b"A" * 100_000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mdmatch", "search", "--alpha", "0", "--beta", "0",
+             "-p", "AAAA", str(text)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"0\t\t0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    def test_bench_into_a_pipe_closed_before_the_first_write(self):
+        # bench's few lines sit in stdout's buffer until the final flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdmatch", "bench", "--random", "20000", "4", "7",
+                 "-m", "8,16", "--count", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+    def test_stdout_closed_at_start_is_not_an_error(self):
+        # With fd 1 closed at start sys.stdout is None, and print writes
+        # nothing; main's flush must not fail on it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdmatch", "bench", "--random", "2000", "4", "7",
+             "-m", "8", "--count", "5"],
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == b""

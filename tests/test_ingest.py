@@ -9,9 +9,11 @@ from scipy import stats as scipy_stats
 from conftest import write_fasta
 from mdmatch.ingest import (
     SYMBOL_TABLE,
+    MalformedDataError,
     SequenceRecord,
     extract_patterns,
     _split_records,
+    check_sequence_bytes,
     gen_random_text,
     read_fasta,
 )
@@ -113,6 +115,40 @@ def fasta_files(draw):
     expected = [SequenceRecord("", lead.upper())] if lead else []
     expected += [SequenceRecord(rid, seq.upper()) for rid, seq in headed]
     return data, expected
+
+
+class TestMalformedDataError:
+    """The data read_fasta rejects raises MalformedDataError, a ValueError;
+    a bad argument raises a plain ValueError."""
+
+    @pytest.mark.parametrize("data, raw, message", [
+        (b"", False, "no sequences"),
+        (b" \n\t\r\n\n", False, "no sequences"),
+        (b"", True, "no sequences"),
+        (b">a\nAC\n>b\nG\x80T\n", False, "0x80 at offset 10"),
+    ])
+    def test_read_fasta(self, data, raw, message):
+        with pytest.raises(MalformedDataError, match=message) as exc:
+            read_fasta(data, raw=raw)
+        assert isinstance(exc.value, ValueError)
+
+    def test_check_sequence_bytes(self):
+        check_sequence_bytes(b"ac GT\t\n~!")
+        with pytest.raises(MalformedDataError, match="0x7f at offset 12"):
+            check_sequence_bytes(b"ACG\x7f", 9)
+
+    @pytest.mark.parametrize("call", [
+        lambda: gen_random_text(0, 4, 1),
+        lambda: gen_random_text(10, 1, 1),
+        lambda: gen_random_text(10, 257, 1),
+        lambda: extract_patterns("ACGT", 0, 1, 1),
+        lambda: extract_patterns("ACGT", 5, 1, 1),
+        lambda: extract_patterns("ACGT", 2, 0, 1),
+    ])
+    def test_usage_errors_are_not_malformed_data(self, call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert not isinstance(exc.value, MalformedDataError)
 
 
 class TestReadFastaProperties:
