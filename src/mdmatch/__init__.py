@@ -1,7 +1,8 @@
 """Approximate string matching under translocations of equal-length adjacent
 factors and inversions of factors, with a counting filter (permutation test)
 and a verifier that walks each candidate's chain of cuts.  Symbols are coded
-by their Unicode code points (core.code_points) from text to verifier.
+by their Unicode code points (core.code_points) from text to verifier: one
+byte per symbol when every code point is below 256, else four.
 
 Matcher (search.py) is the one search path: find, iter_find, stats and
 find_many all run its one step per pattern length, a single pattern being

@@ -67,12 +67,19 @@ def normalize_params(params: SearchParams, m: int) -> SearchParams:
 
 
 def code_points(seq: str) -> np.ndarray:
-    """The symbols of seq as an int32 array of Unicode code points.
+    """The symbols of seq as an array of Unicode code points: uint8, one
+    byte per symbol, when every code point is below 256, as in FASTA,
+    --raw and generated texts of sigma <= 64; else int32.
 
     The search path's only symbol encoding: equal symbols get equal codes,
-    and no table is built or grown.  Lone surrogates keep their code point.
+    and no table is built or grown.  Arrays of both widths compare and
+    concatenate by value, so a byte text and a wide pattern mix.  Lone
+    surrogates keep their code point.
     """
-    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
+    try:
+        return np.frombuffer(seq.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<i4")
 
 
 # splitmix64 constants (Steele, Lea and Flood 2014).
@@ -110,6 +117,10 @@ def _byte_weights(weigh) -> np.ndarray:
 
 
 def _in_table(codes: np.ndarray) -> bool:
+    """Whether every code is in [0, 256): true of any uint8 array, byte
+    codes (code_points), with no pass over them."""
+    if codes.dtype == np.uint8:
+        return True
     return bool(codes.size) and codes.min() >= 0 and codes.max() < 256
 
 

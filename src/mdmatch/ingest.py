@@ -1,7 +1,9 @@
 """Data acquisition for experiments: FASTA and raw-text readers, seeded
 uniform random text generation, and pattern extraction.  The FASTA reader
 splits its input into records on header lines, the lines that start with
-'>', and parses each record's sequence with one bytes.translate."""
+'>', slices each record's sequence out once and drops its newlines; only a
+sequence with another byte to change (whitespace, lower case or a
+non-printable byte) then takes one bytes.translate."""
 
 from __future__ import annotations
 
@@ -36,23 +38,32 @@ class SequenceRecord:
 
 def _read_bytes(source) -> bytes:
     data = source if isinstance(source, (bytes, str)) else source.read()
-    return data.encode("latin-1") if isinstance(data, str) else data
+    if not isinstance(data, str):
+        return data
+    try:
+        return data.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise MalformedDataError(f"non-latin-1 character U+{ord(data[exc.start]):04X} "
+                                 f"at offset {exc.start}") from None
 
 
 def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
     """Parse FASTA or headerless text into sequence records.
 
-    Default mode accepts '>'-headed FASTA (one record per header; one
-    translate joins its sequence lines, drops whitespace, upper-cases and
-    marks any other byte, which raises MalformedDataError with its offset)
-    and treats sequence lines before the first header as a single anonymous
-    record; blank lines there open no record.  raw=True returns the bytes
-    verbatim as one record, except for one trailing newline removed.  Empty
-    input, or blank input outside raw, raises MalformedDataError too.
+    Default mode accepts '>'-headed FASTA (one record per header; its
+    sequence lines are joined, whitespace dropped and letters upper-cased,
+    and any other byte raises MalformedDataError with its offset) and
+    treats sequence lines before the first header as a single anonymous
+    record; blank lines there open no record.  A sequence of upper-case
+    and other printable bytes on LF lines is only joined; any other one
+    takes one translate.  raw=True returns the bytes verbatim as one
+    record, except for one trailing newline removed.  Empty input, or blank
+    input outside raw, raises MalformedDataError too.
 
     source is bytes, a binary or text file object, or a str.  A str is the
     data itself, encoded as latin-1, not a path: read_fasta("w.txt")
-    returns one record whose sequence is "W.TXT".  Open a file and pass
+    returns one record whose sequence is "W.TXT".  A str character above
+    U+00FF raises MalformedDataError with its offset.  Open a file and pass
     the file object to read it.
     """
     data = _read_bytes(source)
@@ -64,17 +75,30 @@ def read_fasta(source, raw: bool = False) -> list[SequenceRecord]:
         elif data.endswith(b"\n"):
             data = data[:-1]
         return [SequenceRecord("", data.decode("latin-1"))]
-    if not data.strip():
+    if not data or data.isspace():
         raise MalformedDataError("no sequences")
     records: list[SequenceRecord] = []
     for k, (header, seq, start) in enumerate(_split_records(data)):
-        out = seq.translate(_UPPER, delete=_WHITESPACE)
-        if 0 in out:
-            check_sequence_bytes(seq, start)
+        out = seq.replace(b"\n", b"")
+        if out and _needs_translate(out):
+            out = out.translate(_UPPER, delete=_WHITESPACE)
+            if 0 in out:
+                check_sequence_bytes(seq, start)
         if k or out:
             records.append(SequenceRecord(header.strip().decode("latin-1"),
                                           out.decode("ascii")))
     return records
+
+
+def _needs_translate(seq: bytes) -> bool:
+    """Whether seq, non-empty, holds a byte that _UPPER or _WHITESPACE
+    would change: one outside 0x21-0x7E, or a lower-case letter."""
+    codes = np.frombuffer(seq, dtype=np.uint8)
+    high = codes.max()
+    if codes.min() < 0x21 or high > 0x7E:
+        return True
+    # uint8 wraps, so only 0x61-0x7A ('a'-'z') land below 26.
+    return bool(high >= 0x61 and np.count_nonzero(codes - np.uint8(0x61) < 26))
 
 
 def check_sequence_bytes(seq: bytes, start: int = 0) -> None:
@@ -98,8 +122,10 @@ def _split_records(data: bytes) -> list[tuple[bytes, bytes, int]]:
         i = data.find(b">", i) if i >= 0 else -1
     out = [(b"", data[:max(heads[0] - 1, 0)] if heads else data, 0)]
     for h, end in zip(heads, [j - 1 for j in heads[1:]] + [len(data)]):
-        header, _, seq = data[h + 1:end].partition(b"\n")
-        out.append((header, seq, h + 2 + len(header)))
+        nl = data.find(b"\n", h, end)
+        if nl < 0:
+            nl = end
+        out.append((data[h + 1:nl], data[nl + 1:end], nl + 1))
     return out
 
 

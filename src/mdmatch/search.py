@@ -47,6 +47,12 @@ from .verify import verify_windows
 _SLICE = 1 << 15
 
 
+def _sortable(codes: np.ndarray) -> np.ndarray:
+    """codes widened to int32 when narrower: numpy (2.4, x86-64) sorts rows
+    of uint8 codes 3-14x slower than the same rows in int32."""
+    return codes.astype(np.int32) if codes.dtype.itemsize < 4 else codes
+
+
 def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
                prefix: np.ndarray | None = None) -> list[np.ndarray]:
     """For each row of patterns, a (k, m) array, all positions whose window
@@ -74,7 +80,7 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
     if prefix is None:
         prefix = fingerprint_prefix(t)
     fingerprints = fingerprint_weights(ps).sum(axis=1, dtype=np.uint32)
-    sorted_rows = np.sort(ps, axis=1)
+    sorted_rows = np.sort(_sortable(ps), axis=1)
     # Row r's multiset is that of row first[r], the first row with its sorted
     # symbols; the distinct multisets are confirmed under those rows.
     seen: dict[bytes, int] = {}
@@ -102,7 +108,7 @@ def scan_group(patterns: Sequence[Sequence[int]], text: Sequence[int],
             part_keys = prefix[part + m] - prefix[part]
         for parts, d, key in zip(found, distinct, keys):
             sel = part if len(keys) == 1 else part[part_keys == key]
-            block = t[sel[:, None] + offsets]
+            block = _sortable(t[sel[:, None] + offsets])
             block.sort(axis=1)
             parts.append(sel[(block == sorted_rows[d]).all(axis=1)])
     cands = dict(zip(distinct, map(np.concatenate, found)))
@@ -135,7 +141,9 @@ class SearchStats:
 
 
 class Matcher:
-    """Searches one text repeatedly; the text is encoded once, by code point.
+    """Searches one text repeatedly; the text is encoded once, by code point
+    (core.code_points: one byte per symbol when every symbol is below
+    U+0100, else four).
 
     A pattern symbol absent from the text simply gets no candidates.  The
     fingerprint prefix of the text, which the filter and the verifier

@@ -27,8 +27,21 @@ class TestCodePoints:
         assert "".join(map(chr, code_points(text).tolist())) == text
 
     def test_empty_input(self):
+        # The empty text is a byte text: one byte per symbol, like any
+        # text whose code points are all below 256.
         codes = code_points("")
-        assert codes.size == 0 and codes.dtype == np.int32
+        assert codes.size == 0 and codes.dtype == np.uint8
+
+    @pytest.mark.parametrize("text", ["ACGT\xff", "\x00~\x7f\x80", "a" * 1000 + "\xe9"])
+    def test_byte_text_is_uint8(self, text):
+        codes = code_points(text)
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [ord(c) for c in text]
+
+    def test_one_wide_symbol_makes_int32(self):
+        codes = code_points("ACGT\u0100")
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [65, 67, 71, 84, 256]
 
     def test_wide_symbols(self):
         text = "αβγ\U0001F600\U0010FFFF\ud800"

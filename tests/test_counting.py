@@ -263,9 +263,10 @@ class TestFingerprint:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_table_and_formula_paths_agree(self, data):
-        # Codes in [0, 256) take the weight table, any other code sends the
-        # whole text through symbol_weights; both must give the wrapping
-        # prefix sums of symbol_weights reduced mod 2**32, at any slice size.
+        # Codes in [0, 256) take the weight table, as byte codes (uint8) do
+        # without a range check; any other code sends the whole text
+        # through symbol_weights.  Each must give the wrapping prefix sums of
+        # symbol_weights reduced mod 2**32, at any slice size.
         search = importlib.import_module("mdmatch.search")
         core = importlib.import_module("mdmatch.core")
         byte = st.integers(0, 255)
@@ -282,6 +283,9 @@ class TestFingerprint:
             patch.setattr(search, "_SLICE", size)
             patch.setattr(core, "_TAKE", size)
             assert fingerprint_prefix(arr).tolist() == [x % 2**32 for x in sums]
+            if all(0 <= x < 256 for x in codes):
+                assert fingerprint_prefix(arr.astype(np.uint8)).tolist() == \
+                    [x % 2**32 for x in sums]
 
     @pytest.mark.parametrize("n", [100_000, 400_000])
     def test_prefix_build_allocates_one_prefix(self, n):
@@ -382,6 +386,17 @@ class TestScanGroup:
             m = rng.randint(1, 9)
             t = [rng.randrange(3) for _ in range(rng.randint(m, 40))]
             self.check(_group_rows(rng, m, rng.randint(0, 3), t, 3), t)
+
+    def test_byte_text_with_thousands_of_hits(self):
+        # A uint8 sigma=4 text: every hit's window is sorted and compared
+        # with its row's sorted symbols, both widened from uint8 first.
+        t = code_points(gen_random_text(40_000, 4, 3))
+        assert t.dtype == np.uint8
+        rows = np.stack([t[s:s + 8] for s in (0, 100, 5_000)] + [code_points("ACGTACGT")])
+        got = scan_group(rows, t)
+        want = [_rolling_candidates(row.tolist(), t.tolist()) for row in rows]
+        assert sum(map(len, want)) > 2_000
+        assert [c.tolist() for c in got] == want
 
     def test_memory_bounded_whatever_the_rows(self):
         # Ten rows, every window a hit of five of them: the extra memory

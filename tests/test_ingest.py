@@ -12,6 +12,7 @@ from mdmatch.ingest import (
     MalformedDataError,
     SequenceRecord,
     extract_patterns,
+    _needs_translate,
     _split_records,
     check_sequence_bytes,
     gen_random_text,
@@ -82,6 +83,26 @@ class TestReadFasta:
     def test_header_with_only_blank_lines_is_an_empty_record(self):
         assert read_fasta(b">a\n\n \r\n") == [SequenceRecord("a", "")]
 
+    @pytest.mark.parametrize("seq, translated, expected", [
+        (b"ACGT\nAC{}\n", False, "ACGTAC{}"),
+        (b"ACGT\r\nAC\n", True, "ACGTAC"),
+        (b"ACgT\nAC\n", True, "ACGTAC"),
+        (b"ACGT\nA\x7fC\n", True, "non-printable byte 0x7f at offset 9"),
+        (b"AC\tGT\nAC\n", True, "ACGTAC"),
+        (b"", False, ""),
+    ], ids=["clean", "cr", "lower-case", "del", "tab", "empty"])
+    def test_translate_only_when_needed(self, seq, translated, expected):
+        # A record whose joined lines hold no byte to change skips the
+        # translate; the others take it, with the same records and errors.
+        joined = seq.replace(b"\n", b"")
+        assert (bool(joined) and _needs_translate(joined)) == translated
+        data = b">a\n" + seq + b">b\nT\n"
+        if expected.startswith("non-printable"):
+            with pytest.raises(MalformedDataError, match=f"^{expected}$"):
+                read_fasta(data)
+        else:
+            assert read_fasta(data) == [SequenceRecord("a", expected), SequenceRecord("b", "T")]
+
     def test_round_trip_with_writer(self):
         records = [SequenceRecord("first", "ACGT" * 40), SequenceRecord("second", "TTAA")]
         assert read_fasta(write_fasta(records)) == records
@@ -89,18 +110,20 @@ class TestReadFasta:
 
 # Sequence symbols: mixed case, and never '>', which would start a header.
 _SYMBOLS = "ACGTacgtNnXyz*-.~0"
+# Symbols that read_fasta keeps as they are: no lower case, no whitespace.
+_UPPER_SYMBOLS = "ACGTNXYZ*-.~0{|}[]_"
 _IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12).map(str.strip)
 _BLANKS = st.sampled_from([b"", b" ", b"\t", b"  \r", b"\x0b\x0c"])
 _BAD_BYTES = [b for b in range(256) if not 0x21 <= b <= 0x7E and b not in b" \t\r\n\x0b\x0c"]
 
 
 @st.composite
-def fasta_files(draw):
+def fasta_files(draw, symbols=_SYMBOLS, blanks=_BLANKS, eols=(b"\n", b"\r\n")):
     """(file bytes, expected records): headed records and an optional
     headerless leading sequence, wrapped at a random width, with LF or CRLF
     endings and blank or space-only lines inserted anywhere."""
-    lead = draw(st.text(_SYMBOLS, max_size=40))
-    headed = draw(st.lists(st.tuples(_IDS, st.text(_SYMBOLS, max_size=150)),
+    lead = draw(st.text(symbols, max_size=40))
+    headed = draw(st.lists(st.tuples(_IDS, st.text(symbols, max_size=150)),
                            min_size=1, max_size=5))
     width = draw(st.integers(1, 70))
     lines = []
@@ -109,12 +132,19 @@ def fasta_files(draw):
             lines.append(b">" + rid.encode("ascii"))
         lines += [seq[i:i + width].encode("ascii") for i in range(0, len(seq), width)]
     for _ in range(draw(st.integers(0, 4))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANKS))
-    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(blanks))
+    eol = draw(st.sampled_from(eols))
     data = eol.join(lines) + draw(st.sampled_from([b"", eol]))
     expected = [SequenceRecord("", lead.upper())] if lead else []
     expected += [SequenceRecord(rid, seq.upper()) for rid, seq in headed]
     return data, expected
+
+
+def upper_lf_files():
+    """fasta_files whose sequences read_fasta only joins: upper-case
+    symbols, LF endings and empty blank lines, so no record is translated
+    unless a test inserts a byte into it."""
+    return fasta_files(_UPPER_SYMBOLS, st.just(b""), (b"\n",))
 
 
 class TestMalformedDataError:
@@ -131,6 +161,18 @@ class TestMalformedDataError:
         with pytest.raises(MalformedDataError, match=message) as exc:
             read_fasta(data, raw=raw)
         assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_str_beyond_latin1(self, raw):
+        # A str is encoded as latin-1; a character it cannot hold is bad
+        # data, named with its offset, like a non-printable byte.
+        message = "^non-latin-1 character U\\+20AC at offset 5$"
+        with pytest.raises(MalformedDataError, match=message):
+            read_fasta(">r\nAC\u20acGT\n", raw=raw)
+        with pytest.raises(MalformedDataError, match=message):
+            read_fasta(io.StringIO(">r\nAC\u20acGT\n"), raw=raw)
+        with pytest.raises(MalformedDataError, match="U\\+10FFFF at offset 0"):
+            read_fasta("\U0010ffff", raw=raw)
 
     def test_check_sequence_bytes(self):
         check_sequence_bytes(b"ac GT\t\n~!")
@@ -151,6 +193,21 @@ class TestMalformedDataError:
         assert not isinstance(exc.value, MalformedDataError)
 
 
+def _check_bad_byte(text, bad, data):
+    """bad inserted into text at an offset drawn from data, in any line that
+    is not a header, its end included, is reported with that offset."""
+    offsets, start = [], 0
+    for line in text.split(b"\n"):
+        if not line.startswith(b">"):
+            offsets += range(start, start + len(line) + 1)
+        start += len(line) + 1
+    assume(offsets)
+    at = data.draw(st.sampled_from(offsets))
+    with pytest.raises(ValueError) as exc:
+        read_fasta(text[:at] + bytes([bad]) + text[at:])
+    assert str(exc.value) == f"non-printable byte 0x{bad:02x} at offset {at}"
+
+
 class TestReadFastaProperties:
     @settings(max_examples=200, deadline=None)
     @given(fasta_files())
@@ -161,18 +218,18 @@ class TestReadFastaProperties:
     @settings(max_examples=200, deadline=None)
     @given(fasta_files(), st.sampled_from(_BAD_BYTES), st.data())
     def test_non_printable_byte_reported_with_offset(self, case, bad, data):
-        text, _ = case
-        # Any offset in a line that is not a header, its end included.
-        offsets, start = [], 0
-        for line in text.split(b"\n"):
-            if not line.startswith(b">"):
-                offsets += range(start, start + len(line) + 1)
-            start += len(line) + 1
-        assume(offsets)
-        at = data.draw(st.sampled_from(offsets))
-        with pytest.raises(ValueError) as exc:
-            read_fasta(text[:at] + bytes([bad]) + text[at:])
-        assert str(exc.value) == f"non-printable byte 0x{bad:02x} at offset {at}"
+        _check_bad_byte(case[0], bad, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(upper_lf_files())
+    def test_upper_lf_parses_to_generated_records(self, case):
+        data, expected = case
+        assert read_fasta(data) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(upper_lf_files(), st.sampled_from(_BAD_BYTES), st.data())
+    def test_upper_lf_non_printable_byte_reported_with_offset(self, case, bad, data):
+        _check_bad_byte(case[0], bad, data)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([b">", b"\n", b"\r", b" ", b"a", b"C", b"\x00"]),

@@ -552,6 +552,25 @@ class TestFindMany:
         if dense:
             assert matcher.stats(p, params).candidates > BUDGET
 
+    @pytest.mark.parametrize("with_witness", [False, True])
+    @pytest.mark.parametrize("text_symbols", ["abc", "abc\u0100"], ids=["byte-text", "wide-text"])
+    def test_byte_and_wide_patterns_in_one_group(self, text_symbols, with_witness):
+        # One length group of byte-only patterns and patterns holding
+        # U+0100 is coded int32, while the byte text is coded uint8 and the
+        # other text int32; find of a byte-only pattern alone (in check)
+        # codes it uint8.  Codes of both widths compare by value.
+        rng = random.Random(1201)
+        m = 6
+        text = "".join(rng.choice(text_symbols) for _ in range(400))
+        assert code_points(text).dtype == (np.int32 if "\u0100" in text_symbols else np.uint8)
+        picks = [text[s:s + m] for s in rng.sample(range(len(text) - m + 1), 4)]
+        patterns = picks + [apply_blocks(q, random_block_decomposition(rng, m, m // 2, m))
+                            for q in picks]
+        patterns += ["ab\u0100cab", "\u0100" * m, "abcabc"]
+        assert code_points("".join(patterns)).dtype == np.int32
+        got = self.check(Matcher(text), patterns, None, with_witness)
+        assert all(got[:8])
+
     def test_one_decider_run_per_group(self, monkeypatch):
         # Ten patterns of one length, each with an exact and a rearranged
         # copy in the text: their candidates fit in one chunk, so the
